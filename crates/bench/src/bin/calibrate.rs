@@ -2,8 +2,9 @@
 //! system on one preset and prints time/steps to the reference target.
 //!
 //! Usage: `cargo run --release -p mlstar-bench --bin calibrate [preset] [system]`
-//! where preset ∈ {avazu, url, kddb, kdd12, wx} and system ∈
-//! {mllib, ma, star, petuum, petuum_star, angel}. Defaults: kdd12, mllib.
+//! where preset ∈ {avazu, url, kddb, kdd12, wx} and system is any name
+//! `System::from_str` accepts (mllib, ma, star, petuum, petuum-star,
+//! angel, lbfgs). Defaults: kdd12, mllib. An unknown system exits 2.
 
 use mlstar_core::{reference_optimum, System, TrainConfig};
 use mlstar_data::catalog;
@@ -19,7 +20,9 @@ fn main() {
         println!("    cargo run --release -p mlstar-bench --bin calibrate [preset] [system] [reg]");
         println!();
         println!("    preset ∈ {{avazu, url, kddb, kdd12, wx}}   (default kdd12)");
-        println!("    system ∈ {{mllib, ma, star, petuum, petuum_star, angel}}   (default mllib)");
+        println!(
+            "    system ∈ {{mllib, ma, star, petuum, petuum-star, angel, lbfgs}}   (default mllib)"
+        );
         println!("    reg    ∈ {{none, l2}}   (default none)");
         return;
     }
@@ -36,14 +39,10 @@ fn main() {
         "wx" => catalog::wx_like(),
         _ => catalog::kdd12_like(),
     };
-    let system = match system_name {
-        "ma" => System::MllibMa,
-        "star" => System::MllibStar,
-        "petuum" => System::Petuum,
-        "petuum_star" => System::PetuumStar,
-        "angel" => System::Angel,
-        _ => System::Mllib,
-    };
+    let system: System = system_name.parse().unwrap_or_else(|e| {
+        eprintln!("calibrate: {e}");
+        std::process::exit(2);
+    });
     let ds = preset.generate();
     let opt = reference_optimum(&ds, Loss::Hinge, reg, 25, 42);
     println!(

@@ -22,8 +22,8 @@ fn usage(code: i32) -> ! {
     println!("    cargo run --release -p mlstar-bench --bin net_calibrate -- [OPTIONS]");
     println!();
     println!("OPTIONS:");
-    println!("    --system <name>      mllib, ma, star (default), sparkml, petuum,");
-    println!("                         petuum_star, angel");
+    println!("    --system <name>      mllib, ma, star (default), lbfgs, petuum,");
+    println!("                         petuum-star, angel");
     println!("    --transport <kind>   channel (default) or tcp (loopback)");
     println!("    --workers <k>        worker threads (default 4)");
     println!("    --rounds <n>         communication rounds (default 8)");
@@ -67,19 +67,10 @@ fn parse_args() -> Args {
             "--smoke" => out.smoke = true,
             "--system" => {
                 i += 1;
-                out.system = match value(&args, i, "--system").as_str() {
-                    "mllib" => System::Mllib,
-                    "ma" => System::MllibMa,
-                    "star" => System::MllibStar,
-                    "sparkml" => System::SparkMl,
-                    "petuum" => System::Petuum,
-                    "petuum_star" => System::PetuumStar,
-                    "angel" => System::Angel,
-                    other => {
-                        eprintln!("net_calibrate: unknown system {other:?} (see --help)");
-                        std::process::exit(2);
-                    }
-                };
+                out.system = value(&args, i, "--system").parse().unwrap_or_else(|e| {
+                    eprintln!("net_calibrate: {e} (see --help)");
+                    std::process::exit(2);
+                });
             }
             "--transport" => {
                 i += 1;

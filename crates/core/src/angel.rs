@@ -14,7 +14,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use mlstar_data::{EpochOrder, Partitioner, SparseDataset};
+use mlstar_data::{EpochOrder, SparseDataset};
 use mlstar_glm::{mgd_step, LearningRate, Loss, Regularizer};
 use mlstar_linalg::DenseVector;
 use mlstar_ps::{Aggregation, Consistency, PsConfig, PsEngine, WorkerLogic, WorkerStep};
@@ -23,7 +23,7 @@ use mlstar_sim::{dense_op_flops, pass_flops, ClusterSpec, CostModel, SeedStream,
 use crate::checkpoint::{CheckpointError, PsCkptHook, PsCkptRun};
 use crate::common::partition_active_coords;
 use crate::engine::{assemble_output, ps_round_stats, ClockTracer};
-use crate::{AngelConfig, TrainConfig, TrainOutput};
+use crate::{system_partitions, AngelConfig, System, TrainConfig, TrainOutput};
 
 /// The Angel worker-local computation: one epoch of per-batch GD.
 struct AngelWorker<'a> {
@@ -173,10 +173,7 @@ pub(crate) fn train_angel_ckpt(
     let k = cluster.num_executors();
     let dim = ds.num_features();
     let seeds = SeedStream::new(cfg.seed);
-    let parts = Partitioner::Shuffled {
-        seed: seeds.child("partition").seed(),
-    }
-    .partition(ds.len(), k);
+    let parts = system_partitions(System::Angel, ds, cluster, cfg);
     let part_nnz: Vec<usize> = parts
         .iter()
         .map(|p| p.iter().map(|&i| ds.rows()[i].nnz()).sum())

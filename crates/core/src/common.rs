@@ -1,9 +1,11 @@
 //! Shared harness for the BSP (MLlib-family) trainers.
 
-use mlstar_data::{Partitioner, SparseDataset};
+use mlstar_data::SparseDataset;
 use mlstar_glm::{objective_value, Loss, Regularizer};
 use mlstar_linalg::DenseVector;
-use mlstar_sim::{ClusterSpec, CostModel, NodeId, SeedStream};
+use mlstar_sim::{ClusterSpec, CostModel, NodeId};
+
+use crate::{system_partitions, System, TrainConfig};
 
 /// Partitioned dataset + cost model + node lists for one BSP run.
 pub(crate) struct BspHarness {
@@ -27,36 +29,22 @@ pub(crate) struct BspHarness {
 }
 
 impl BspHarness {
-    /// Builds the harness: rows are randomly shuffled across executors
-    /// (the paper's footnote: data "need to be randomly shuffled and
-    /// distributed across the workers"). A `skew` gives worker 0 that
-    /// fraction of the rows (for the weighted-averaging ablation).
-    pub fn new(ds: &SparseDataset, cluster: &ClusterSpec, seed: u64) -> Self {
-        Self::with_skew(ds, cluster, seed, None)
-    }
-
-    /// Like [`BspHarness::new`] with an optional hot-worker skew.
-    pub fn with_skew(
+    /// Builds the harness for `system`: rows are randomly shuffled across
+    /// executors (the paper's footnote: data "need to be randomly shuffled
+    /// and distributed across the workers") by [`system_partitions`],
+    /// which also decides whether the hot-worker skew applies.
+    pub fn new(
+        system: System,
         ds: &SparseDataset,
         cluster: &ClusterSpec,
-        seed: u64,
-        skew: Option<f64>,
+        cfg: &TrainConfig,
     ) -> Self {
-        let k = cluster.num_executors();
-        let part_seed = SeedStream::new(seed).child("partition").seed();
-        let partitioner = match skew {
-            Some(hot_fraction) => Partitioner::SkewedShuffled {
-                seed: part_seed,
-                hot_fraction,
-            },
-            None => Partitioner::Shuffled { seed: part_seed },
-        };
-        let parts = partitioner.partition(ds.len(), k);
+        let parts = system_partitions(system, ds, cluster, cfg);
         let part_nnz = parts
             .iter()
             .map(|p| p.iter().map(|&i| ds.rows()[i].nnz()).sum())
             .collect();
-        let exec_nodes: Vec<NodeId> = (0..k).map(NodeId::Executor).collect();
+        let exec_nodes: Vec<NodeId> = (0..parts.len()).map(NodeId::Executor).collect();
         let mut all_nodes = vec![NodeId::Driver];
         all_nodes.extend(exec_nodes.iter().copied());
         BspHarness {
@@ -73,36 +61,6 @@ impl BspHarness {
     pub fn k(&self) -> usize {
         self.parts.len()
     }
-}
-
-/// Spark-style failure injection: with probability `prob`, one executor's
-/// task fails this round and lineage re-runs it (same flops, fresh
-/// straggler draw, full task overhead). Returns the victim, if any.
-/// Deterministic given the failure RNG stream; affects simulated time
-/// only.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn maybe_inject_failure<R: rand::Rng>(
-    rb: &mut mlstar_sim::RoundBuilder<'_>,
-    h: &BspHarness,
-    prob: f64,
-    waves: usize,
-    flops_of: impl Fn(usize) -> f64,
-    failure_rng: &mut R,
-    straggler_rng: &mut R,
-) -> Option<usize> {
-    if prob <= 0.0 || !failure_rng.gen_bool(prob.min(1.0)) {
-        return None;
-    }
-    let k = h.k();
-    let victim = failure_rng.gen_range(0..k);
-    rb.work(
-        mlstar_sim::NodeId::Executor(victim),
-        mlstar_sim::Activity::Compute,
-        h.cost
-            .executor_waves(victim, flops_of(victim), waves, straggler_rng),
-    );
-    rb.barrier();
-    Some(victim)
 }
 
 /// Human-readable workload label for traces, e.g. `"n=74820 d=27343 L2=0.1"`
@@ -154,11 +112,19 @@ mod tests {
     use super::*;
     use mlstar_data::SyntheticConfig;
 
+    /// The MLlib harness on the paper's 8-executor cluster.
+    fn harness(ds: &SparseDataset, seed: u64) -> BspHarness {
+        let cfg = TrainConfig {
+            seed,
+            ..TrainConfig::default()
+        };
+        BspHarness::new(System::Mllib, ds, &ClusterSpec::cluster1(), &cfg)
+    }
+
     #[test]
     fn harness_partitions_every_row_once() {
         let ds = SyntheticConfig::small("h", 103, 20).generate();
-        let cluster = ClusterSpec::cluster1();
-        let h = BspHarness::new(&ds, &cluster, 5);
+        let h = harness(&ds, 5);
         assert_eq!(h.k(), 8);
         let mut all: Vec<usize> = h.parts.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -190,11 +156,10 @@ mod tests {
     #[test]
     fn harness_is_seed_deterministic() {
         let ds = SyntheticConfig::small("h2", 50, 10).generate();
-        let cluster = ClusterSpec::cluster1();
-        let a = BspHarness::new(&ds, &cluster, 9);
-        let b = BspHarness::new(&ds, &cluster, 9);
+        let a = harness(&ds, 9);
+        let b = harness(&ds, 9);
         assert_eq!(a.parts, b.parts);
-        let c = BspHarness::new(&ds, &cluster, 10);
+        let c = harness(&ds, 10);
         assert_ne!(a.parts, c.parts);
     }
 }

@@ -29,6 +29,7 @@ use mlstar_sim::{
     Activity, CostModel, GanttRecorder, NodeId, PhaseTotals, RoundBuilder, SeedStream, SimTime,
 };
 use rand::rngs::StdRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -36,7 +37,7 @@ use crate::checkpoint::{
     checkpoint_path, config_digest, BspState, CheckpointError, CheckpointState, EngineState,
     TrainCheckpoint,
 };
-use crate::common::{eval_objective, maybe_inject_failure, workload_label, BspHarness};
+use crate::common::{eval_objective, workload_label, BspHarness};
 use crate::{ConvergenceTrace, System, TracePoint, TrainConfig, TrainOutput};
 
 /// Bytes moved in one communication step, split by pattern.
@@ -185,30 +186,39 @@ impl BspRound<'_, '_> {
         model
     }
 
-    /// Spark-style lineage failure injection; the recovery work and the
-    /// barrier wait it causes are charged to [`RoundStats::recovery_s`],
-    /// and the recomputed flops to the step's flop counter.
+    /// Runs `flops` of task work on executor `r`, stretched by its
+    /// straggler draw and `waves` task waves, and charges the flops to the
+    /// step.
+    pub fn executor_task(&mut self, h: &BspHarness, waves: usize, r: usize, flops: f64) {
+        *self.flops += flops;
+        self.rb.work(
+            NodeId::Executor(r),
+            Activity::Compute,
+            h.cost.executor_waves(r, flops, waves, self.straggler_rng),
+        );
+    }
+
+    /// Spark-style lineage failure injection: with probability
+    /// `cfg.failure_prob`, one executor's task fails this round and lineage
+    /// re-runs it (`flops_of(victim)`, fresh straggler draw, full task
+    /// overhead). Deterministic given the failure RNG stream. The recovery
+    /// work and the barrier wait it causes are charged to
+    /// [`RoundStats::recovery_s`].
     pub fn inject_failure(
         &mut self,
         h: &BspHarness,
         cfg: &TrainConfig,
         flops_of: impl Fn(usize) -> f64,
-    ) -> Option<usize> {
-        self.rb.set_recovery(true);
-        let victim = maybe_inject_failure(
-            &mut self.rb,
-            h,
-            cfg.failure_prob,
-            cfg.waves,
-            &flops_of,
-            self.failure_rng,
-            self.straggler_rng,
-        );
-        self.rb.set_recovery(false);
-        if let Some(v) = victim {
-            *self.flops += flops_of(v);
+    ) {
+        let prob = cfg.failure_prob;
+        if prob <= 0.0 || !self.failure_rng.gen_bool(prob.min(1.0)) {
+            return;
         }
-        victim
+        let victim = self.failure_rng.gen_range(0..h.k());
+        self.rb.set_recovery(true);
+        self.executor_task(h, cfg.waves, victim, flops_of(victim));
+        self.rb.barrier();
+        self.rb.set_recovery(false);
     }
 }
 

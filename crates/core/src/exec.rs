@@ -249,35 +249,23 @@ pub(crate) fn expect_value(res: OpResult) -> f64 {
     }
 }
 
-/// The exact row partition `system` would assign to each of the
-/// cluster's executors — what a backend host must ship to worker `r` so
-/// that op row indices resolve. Mirrors each trainer's own partitioning
-/// (seed stream, shuffle variant, skew handling) bit for bit.
+/// The exact row partition `system` assigns to each of the cluster's
+/// executors — what a backend host must ship to worker `r` so that op row
+/// indices resolve. Every trainer partitions through this one function.
+/// Only the SendModel presets (MLlib+MA, MLlib\*) honour
+/// [`TrainConfig::partition_skew`]; every other system shuffles uniformly.
 pub fn system_partitions(
     system: System,
     ds: &SparseDataset,
     cluster: &ClusterSpec,
     cfg: &TrainConfig,
 ) -> Vec<Vec<usize>> {
-    let k = cluster.num_executors();
-    let part_seed = SeedStream::new(cfg.seed).child("partition").seed();
-    // MLlib+MA and MLlib* honor the hot-worker skew ablation; the other
-    // trainers always shuffle uniformly (see BspHarness::new and the PS
-    // trainers' Partitioner::Shuffled).
-    let skew = match system {
-        System::MllibMa | System::MllibStar => cfg.partition_skew,
-        System::Mllib | System::SparkMl | System::Petuum | System::PetuumStar | System::Angel => {
-            None
-        }
+    let seed = SeedStream::new(cfg.seed).child("partition").seed();
+    let partitioner = match crate::bsp::partition_skew(system, cfg) {
+        Some(hot_fraction) => Partitioner::SkewedShuffled { seed, hot_fraction },
+        None => Partitioner::Shuffled { seed },
     };
-    let partitioner = match skew {
-        Some(hot_fraction) => Partitioner::SkewedShuffled {
-            seed: part_seed,
-            hot_fraction,
-        },
-        None => Partitioner::Shuffled { seed: part_seed },
-    };
-    partitioner.partition(ds.len(), k)
+    partitioner.partition(ds.len(), cluster.num_executors())
 }
 
 #[cfg(test)]
@@ -349,16 +337,28 @@ mod tests {
 
     #[test]
     fn partitions_match_the_trainers() {
+        use crate::common::BspHarness;
         use mlstar_data::SyntheticConfig;
         let ds = SyntheticConfig::small("exec-parts", 60, 8).generate();
         let cluster = ClusterSpec::cluster1();
-        let cfg = TrainConfig::default();
+        let cfg = TrainConfig {
+            partition_skew: Some(0.6),
+            ..TrainConfig::default()
+        };
+        let uniform = system_partitions(System::Mllib, &ds, &cluster, &TrainConfig::default());
         for system in System::ALL {
             let parts = system_partitions(system, &ds, &cluster, &cfg);
             assert_eq!(parts.len(), 8);
             let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
             all.sort_unstable();
             assert_eq!(all, (0..60).collect::<Vec<_>>(), "{system:?}");
+            // Only the SendModel presets honour the hot-worker skew.
+            let skewed = matches!(system, System::MllibMa | System::MllibStar);
+            assert_eq!(parts != uniform, skewed, "{system:?}");
+            if !system.is_parameter_server() {
+                let h = BspHarness::new(system, &ds, &cluster, &cfg);
+                assert_eq!(h.parts, parts, "{system:?}");
+            }
         }
     }
 }

@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod angel;
+mod bsp;
 mod checkpoint;
 mod common;
 mod comparison;
@@ -48,9 +49,6 @@ mod engine;
 mod exec;
 mod grid;
 mod local_pass;
-mod mllib;
-mod mllib_ma;
-mod mllib_star;
 mod ovr;
 mod petuum;
 mod sequential;
@@ -59,6 +57,7 @@ mod system;
 mod trace;
 
 pub use angel::train_angel;
+pub use bsp::{train_mllib, train_mllib_ma, train_mllib_star};
 pub use checkpoint::{
     checkpoint_path, prune_checkpoints, CheckpointError, TrainCheckpoint, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -71,9 +70,6 @@ pub use cv::{cross_validate_path, CvConfig, CvError, CvFoldResult, CvJobStats, C
 pub use engine::{CommBytes, RoundStats};
 pub use exec::{system_partitions, with_backend, ComputeBackend, ExecAbort, OpResult, WorkerOp};
 pub use grid::{GridPoint, GridResult, GridSearch};
-pub use mllib::train_mllib;
-pub use mllib_ma::train_mllib_ma;
-pub use mllib_star::train_mllib_star;
 pub use mlstar_collectives::{CompressionConfig, FrameSwitch, Sparsifier};
 pub use ovr::{OneVsRest, OvrModel, OvrOutput};
 pub use petuum::{train_petuum, train_petuum_star};

@@ -18,7 +18,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use mlstar_data::{BatchSampler, Partitioner, SparseDataset};
+use mlstar_data::{BatchSampler, SparseDataset};
 use mlstar_glm::{mgd_step, sgd_epoch_lazy, LearningRate, Loss, Regularizer};
 use mlstar_linalg::{DenseVector, ScaledVector};
 use mlstar_ps::{Aggregation, Consistency, PsConfig, PsEngine, WorkerLogic, WorkerStep};
@@ -27,7 +27,7 @@ use mlstar_sim::{dense_op_flops, pass_flops, ClusterSpec, CostModel, SeedStream,
 use crate::checkpoint::{CheckpointError, PsCkptHook, PsCkptRun};
 use crate::common::partition_active_coords;
 use crate::engine::{assemble_output, ps_round_stats, ClockTracer};
-use crate::{PsSystemConfig, TrainConfig, TrainOutput};
+use crate::{system_partitions, PsSystemConfig, System, TrainConfig, TrainOutput};
 
 /// The Petuum worker-local computation.
 struct PetuumWorker<'a> {
@@ -246,10 +246,8 @@ fn train_petuum_inner(
     let k = cluster.num_executors();
     let dim = ds.num_features();
     let seeds = SeedStream::new(cfg.seed);
-    let parts = Partitioner::Shuffled {
-        seed: seeds.child("partition").seed(),
-    }
-    .partition(ds.len(), k);
+    // Petuum and Petuum* partition alike.
+    let parts = system_partitions(System::Petuum, ds, cluster, cfg);
     let part_active = partition_active_coords(ds, &parts);
     let updates = Rc::new(Cell::new(0u64));
     let mut logic = PetuumWorker {

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::{put_vector, read_vector};
 use crate::common::{eval_objective, BspHarness};
 use crate::engine::{run_rounds, RoundStrategy, StepCtx};
-use crate::{TrainConfig, TrainOutput};
+use crate::{System, TrainConfig, TrainOutput};
 
 /// Extra configuration for the `spark.ml` L-BFGS trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -77,7 +77,7 @@ impl SparkMlStrategy {
         cfg: &TrainConfig,
         ml: &SparkMlConfig,
     ) -> Self {
-        let h = BspHarness::new(ds, cluster, cfg.seed);
+        let h = BspHarness::new(System::SparkMl, ds, cluster, cfg);
         let dim = ds.num_features();
         let w = DenseVector::zeros(dim);
         let f = eval_objective(ds, cfg.loss, cfg.reg, &w);
@@ -124,13 +124,8 @@ fn distributed_gradient(
                     // the dataset-average gradient.
                     g_r.scale(h.parts[r].len() as f64 / ds.len() as f64);
                 }
-                rd.charge_flops(pass_flops(h.part_nnz[r]));
-                rd.rb.work(
-                    NodeId::Executor(r),
-                    Activity::Compute,
-                    h.cost
-                        .executor_compute(r, pass_flops(h.part_nnz[r]), rd.straggler_rng),
-                );
+                // One task wave: spark.ml does not honour `cfg.waves`.
+                rd.executor_task(h, 1, r, pass_flops(h.part_nnz[r]));
             }
             partials.push(g_r);
         }
@@ -192,13 +187,7 @@ fn distributed_objective(
                 weighted += local * h.parts[r].len() as f64 / ds.len() as f64;
             }
             // Loss evaluation is ~half the flops of a gradient pass.
-            rd.charge_flops(pass_flops(h.part_nnz[r]) / 2.0);
-            rd.rb.work(
-                NodeId::Executor(r),
-                Activity::Compute,
-                h.cost
-                    .executor_compute(r, pass_flops(h.part_nnz[r]) / 2.0, rd.straggler_rng),
-            );
+            rd.executor_task(h, 1, r, pass_flops(h.part_nnz[r]) / 2.0);
         }
         if !ops.is_empty() {
             // Accumulated in worker order, exactly like the inline loop.

@@ -8,17 +8,14 @@ use mlstar_sim::ClusterSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::angel::train_angel_ckpt;
+use crate::bsp::BspStrategy;
 use crate::checkpoint::{config_digest, CheckpointState, PsCkptRun, TrainCheckpoint};
 use crate::engine::{run_rounds_ckpt, CheckpointRun};
-use crate::mllib::MllibStrategy;
-use crate::mllib_ma::MllibMaStrategy;
-use crate::mllib_star::MllibStarStrategy;
 use crate::petuum::train_petuum_ckpt;
 use crate::sparkml::SparkMlStrategy;
 use crate::{
-    train_angel, train_mllib, train_mllib_ma, train_mllib_star, train_petuum, train_petuum_star,
-    train_sparkml_lbfgs, AngelConfig, CheckpointError, PsSystemConfig, SparkMlConfig, TrainConfig,
-    TrainOutput,
+    train_angel, train_petuum, train_petuum_star, train_sparkml_lbfgs, AngelConfig,
+    CheckpointError, PsSystemConfig, SparkMlConfig, TrainConfig, TrainOutput,
 };
 
 /// The six distributed training systems compared in the paper.
@@ -83,9 +80,9 @@ impl System {
         angel: &AngelConfig,
     ) -> TrainOutput {
         match self {
-            System::Mllib => train_mllib(ds, cluster, cfg),
-            System::MllibMa => train_mllib_ma(ds, cluster, cfg),
-            System::MllibStar => train_mllib_star(ds, cluster, cfg),
+            System::Mllib | System::MllibMa | System::MllibStar => {
+                crate::bsp::train(*self, ds, cluster, cfg)
+            }
             System::Petuum => train_petuum(ds, cluster, cfg, ps),
             System::PetuumStar => train_petuum_star(ds, cluster, cfg, ps),
             System::Angel => train_angel(ds, cluster, cfg, angel),
@@ -227,15 +224,12 @@ impl System {
         };
         assert!(!ds.is_empty(), "cannot train on an empty dataset");
         match self {
-            System::Mllib => {
-                run_rounds_ckpt(ds, cfg, MllibStrategy::new(ds, cluster, cfg), Some(run))
-            }
-            System::MllibMa => {
-                run_rounds_ckpt(ds, cfg, MllibMaStrategy::new(ds, cluster, cfg), Some(run))
-            }
-            System::MllibStar => {
-                run_rounds_ckpt(ds, cfg, MllibStarStrategy::new(ds, cluster, cfg), Some(run))
-            }
+            System::Mllib | System::MllibMa | System::MllibStar => run_rounds_ckpt(
+                ds,
+                cfg,
+                BspStrategy::new(*self, ds, cluster, cfg),
+                Some(run),
+            ),
             System::SparkMl => run_rounds_ckpt(
                 ds,
                 cfg,

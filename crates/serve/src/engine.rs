@@ -294,9 +294,11 @@ impl ScoringEngine {
                     .iter()
                     .map(|c| scope.spawn(move || c.iter().map(|r| score_one(model, r)).collect()))
                     .collect();
+                // A shard panic is a bug (`run` already rejected bad
+                // requests): re-raise it rather than return a short batch.
                 handles
                     .into_iter()
-                    .map(|h| h.join().unwrap_or_default())
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                     .collect()
             });
             for shard in shard_outputs {
@@ -478,6 +480,21 @@ mod tests {
                 found: 7
             })
         ));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_shard_propagates() {
+        // `run` rejects rows like this one; scored directly, it makes its
+        // shard panic, which must surface instead of shortening the batch.
+        let engine = ScoringEngine::new(model(), BatchPolicy::default(), 2);
+        let good = req(0, 0, &[(0, 1.0)]);
+        let bad = ScoreRequest {
+            id: 1,
+            arrival: SimTime::ZERO,
+            row: SparseVector::from_pairs(7, &[(6, 1.0)]).unwrap(),
+        };
+        engine.score_batch(&[&good, &bad]);
     }
 
     #[test]

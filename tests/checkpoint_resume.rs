@@ -17,10 +17,10 @@
 
 use std::path::{Path, PathBuf};
 
-use mllib_star::codec::CodecError;
+use mllib_star::codec::{fnv1a, CodecError};
 use mllib_star::core::{
-    checkpoint_path, AngelConfig, CheckpointError, PsSystemConfig, System, TrainCheckpoint,
-    TrainConfig, TrainOutput,
+    checkpoint_path, AngelConfig, CheckpointError, CompressionConfig, FrameSwitch, PsSystemConfig,
+    Sparsifier, System, TrainCheckpoint, TrainConfig, TrainOutput, CHECKPOINT_VERSION,
 };
 use mllib_star::data::{SparseDataset, SyntheticConfig};
 use mllib_star::glm::LearningRate;
@@ -156,6 +156,63 @@ fn bsp_resume_is_bit_exact_at_every_interior_round() {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+}
+
+/// Known-answer test for the on-disk BSP checkpoint format: the round-2
+/// file of each MLlib-family preset, and of MLlib\* with top-k error
+/// feedback (whose residuals form the tail of the strategy state), must
+/// keep these exact lengths and FNV-1a digests. Resume equivalence only
+/// compares files written and read by the same build; this pins the bytes
+/// across builds, so a refactor that reorders the state fails here.
+#[test]
+fn bsp_checkpoint_bytes_are_pinned() {
+    assert_eq!(CHECKPOINT_VERSION, 1);
+    let ds = dataset();
+    let cfg = config(42);
+    let top_k = TrainConfig {
+        compression: CompressionConfig {
+            switch: FrameSwitch::Adaptive,
+            sparsifier: Sparsifier::TopK { k: 4 },
+            quantize: false,
+            error_feedback: true,
+        },
+        ..cfg
+    };
+    let cases = [
+        ("mllib", System::Mllib, &cfg, 5230, 0x0699_4b2f_d824_0183),
+        (
+            "mllib-ma",
+            System::MllibMa,
+            &cfg,
+            5297,
+            0xf3be_6389_32f6_c729,
+        ),
+        (
+            "mllib-star",
+            System::MllibStar,
+            &cfg,
+            3399,
+            0xf4a1_3516_d9d0_8819,
+        ),
+        (
+            "mllib-star-topk-ef",
+            System::MllibStar,
+            &top_k,
+            4703,
+            0x62d0_e5a3_7d11_ba97,
+        ),
+    ];
+    for (tag, system, cfg, len, digest) in cases {
+        let dir = scratch_dir(&format!("kat_{tag}"));
+        train_reference(system, &ds, cfg, &dir);
+        let bytes = std::fs::read(checkpoint_path(&dir, system, 2)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (len, digest),
+            "{tag}: round-2 checkpoint bytes changed"
+        );
     }
 }
 
