@@ -64,7 +64,14 @@ impl GlmModel {
 
     /// The logistic probability `P(y = +1 | x) = σ(w·x)`.
     pub fn predict_probability(&self, x: &SparseVector) -> f64 {
-        let m = self.margin(x);
+        Self::probability_of_margin(self.margin(x))
+    }
+
+    /// The logistic function `σ(m)` of a margin already computed, so a
+    /// caller that needs both the margin and the probability pays for one
+    /// dot product. Each sign takes the branch whose `exp` cannot
+    /// overflow.
+    pub fn probability_of_margin(m: f64) -> f64 {
         if m >= 0.0 {
             1.0 / (1.0 + (-m).exp())
         } else {
@@ -138,6 +145,38 @@ mod tests {
         let m = GlmModel::from_weights(DenseVector::from_vec(vec![-1000.0]));
         let p = m.predict_probability(&x);
         assert!(p.is_finite() && p < 1e-6);
+    }
+
+    #[test]
+    fn probability_of_margin_matches_predict_probability() {
+        let x = SparseVector::from_pairs(1, &[(0, 1.0)]).unwrap();
+        for w in [
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            36.0,
+            -36.0,
+            709.0,
+            -709.0,
+            745.0,
+            -745.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let m = GlmModel::from_weights(DenseVector::from_vec(vec![w]));
+            let p = GlmModel::probability_of_margin(m.margin(&x));
+            assert_eq!(p.to_bits(), m.predict_probability(&x).to_bits(), "{w}");
+            assert!((0.0..=1.0).contains(&p), "σ({w}) = {p}");
+        }
+        // `margin` sums from +0.0, so it never returns -0.0 itself; the
+        // sign of zero must not pick a different branch.
+        assert_eq!(
+            GlmModel::probability_of_margin(-0.0).to_bits(),
+            0.5f64.to_bits()
+        );
+        assert_eq!(GlmModel::probability_of_margin(f64::INFINITY), 1.0);
+        assert_eq!(GlmModel::probability_of_margin(f64::NEG_INFINITY), 0.0);
     }
 
     #[test]

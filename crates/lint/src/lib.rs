@@ -23,6 +23,7 @@
 //! | `thread_spawn` | lib/bin code outside the allowlisted host-parallelism modules |
 //! | `lock_unwrap` | non-test library code |
 //! | `lock_order` | functions holding two locks, workspace-wide |
+//! | `swallowed_join` | non-test lib/bin code |
 //! | `hot_loop_alloc` | loop bodies in designated hot-path modules |
 //! | `duplicate_hash_impl` | any crate except mlstar-codec |
 //! | `forbid_unsafe_missing` | every crate root |
@@ -148,6 +149,9 @@ pub fn analyze_sources(sources: Vec<(FileContext, String)>) -> ScanReport {
     });
     timed("lock_order", &mut timings, || {
         rules::pass_lock_order(&mut units, &mut violations)
+    });
+    timed("swallowed_join", &mut timings, || {
+        rules::pass_swallowed_join(&mut units, &mut violations)
     });
     timed("hot_loop_alloc", &mut timings, || {
         rules::pass_hot_loop_alloc(&mut units, &mut violations)

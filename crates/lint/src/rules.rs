@@ -38,6 +38,10 @@ pub enum RuleId {
     LockUnwrap,
     /// Two functions acquire the same pair of locks in opposite orders.
     LockOrder,
+    /// `.join().unwrap_or_default()`, `.join().ok()` or
+    /// `let _ = <handle>.join()` in lib/bin code: a joined thread's panic
+    /// is dropped instead of re-raised.
+    SwallowedJoin,
     /// Allocation (`Vec::new`, `vec!`, `.to_vec(`, `.clone(`, `.collect(`,
     /// `format!`) inside a `for`/`while`/`loop` body in a designated
     /// hot-path module.
@@ -76,6 +80,7 @@ impl RuleId {
         RuleId::ThreadSpawn,
         RuleId::LockUnwrap,
         RuleId::LockOrder,
+        RuleId::SwallowedJoin,
         RuleId::HotLoopAlloc,
         RuleId::DuplicateHashImpl,
         RuleId::ForbidUnsafeMissing,
@@ -95,6 +100,7 @@ impl RuleId {
             RuleId::ThreadSpawn => "thread_spawn",
             RuleId::LockUnwrap => "lock_unwrap",
             RuleId::LockOrder => "lock_order",
+            RuleId::SwallowedJoin => "swallowed_join",
             RuleId::HotLoopAlloc => "hot_loop_alloc",
             RuleId::DuplicateHashImpl => "duplicate_hash_impl",
             RuleId::ForbidUnsafeMissing => "forbid_unsafe_missing",
@@ -123,6 +129,9 @@ impl RuleId {
             RuleId::ThreadSpawn => "thread::spawn/scope outside allowlisted host-parallelism modules",
             RuleId::LockUnwrap => ".lock().unwrap()/.expect( on a mutex in library code",
             RuleId::LockOrder => "two functions acquire the same lock pair in opposite orders",
+            RuleId::SwallowedJoin => {
+                ".join().unwrap_or_default()/.join().ok()/let _ = <handle>.join() drops a thread's panic"
+            }
             RuleId::HotLoopAlloc => "allocation inside a loop body in a hot-path module",
             RuleId::DuplicateHashImpl => "private FNV-1a implementation outside mlstar-codec",
             RuleId::ForbidUnsafeMissing => "crate root missing #![forbid(unsafe_code)]",
@@ -149,6 +158,7 @@ impl RuleId {
             RuleId::ThreadSpawn => "lib/bin code outside `core::local_pass`, `serve::engine`, `net::pool`",
             RuleId::LockUnwrap => "non-test library code",
             RuleId::LockOrder => "per-function first-acquisition sequences, workspace-wide",
+            RuleId::SwallowedJoin => "non-test lib/bin code",
             RuleId::HotLoopAlloc => {
                 "loop bodies in `linalg`, `glm::{cd, gradient, lazy_l1, lbfgs, optimizer, path, sgd}`, `serve::engine`"
             }
@@ -453,6 +463,56 @@ pub(crate) fn pass_lock_unwrap(units: &mut [FileUnit], out: &mut Vec<Violation>)
                     );
                 }
             }
+        }
+    }
+}
+
+pub(crate) fn pass_swallowed_join(units: &mut [FileUnit], out: &mut Vec<Violation>) {
+    for unit in units.iter_mut() {
+        if !matches!(unit.ctx.role, FileRole::Lib | FileRole::Bin) {
+            continue;
+        }
+        // The file's non-test code without whitespace, and the line each
+        // byte came from, so a chain rustfmt breaks across lines still
+        // matches. A test line reads as a statement end.
+        let mut code = String::new();
+        let mut line_of: Vec<usize> = Vec::new();
+        for (idx, line) in unit.lines.iter().enumerate() {
+            let text = if line.in_test {
+                ";"
+            } else {
+                line.code.as_str()
+            };
+            for c in text.chars().filter(|c| !c.is_whitespace()) {
+                code.push(c);
+                line_of.extend(std::iter::repeat_n(idx + 1, c.len_utf8()));
+            }
+        }
+        let mut hits: Vec<(usize, &str)> = Vec::new();
+        for pat in [".join().unwrap_or_default()", ".join().ok()"] {
+            hits.extend(code.match_indices(pat).map(|(at, _)| (line_of[at], pat)));
+        }
+        for (at, _) in code.match_indices("let_=") {
+            let starts_word = code[..at]
+                .chars()
+                .next_back()
+                .is_none_or(|c| !(c.is_alphanumeric() || c == '_'));
+            let stmt = code[at..].split(';').next().unwrap_or("");
+            if starts_word && stmt.ends_with(".join()") {
+                hits.push((line_of[at], "let _ = <handle>.join()"));
+            }
+        }
+        for (lineno, pat) in hits {
+            push(
+                unit,
+                out,
+                lineno,
+                RuleId::SwallowedJoin,
+                format!(
+                    "`{pat}` drops the joined thread's panic: re-raise it with `unwrap_or_else(|p| std::panic::resume_unwind(p))`"
+                ),
+                Vec::new(),
+            );
         }
     }
 }

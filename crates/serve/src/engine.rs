@@ -7,13 +7,18 @@
 //! whichever comes first — so batch boundaries, fill ratios, and queue
 //! depths are identical no matter how many worker shards score them.
 //!
-//! Scoring itself runs on real [`std::thread`] workers: each batch is
-//! split into contiguous shards, every shard accumulates its predictions
-//! privately, and shard outputs are concatenated in shard order and then
-//! merged by request id. Per-row margins are row-local dot products, so
-//! the merged predictions are **bit-identical** for any shard count and
-//! any thread interleaving — the same discipline `run_rounds` applies to
-//! per-worker seed streams during training.
+//! A run therefore has two phases. The **plan** forms every batch and
+//! records all of its telemetry before any row is scored. The **score**
+//! phase then runs inside one [`std::thread::scope`] for the whole run,
+//! with one real thread per shard: shard `s` scores the `s`-th contiguous
+//! chunk of every batch into its own disjoint slots of one arrival-ordered
+//! buffer, and a single stable sort merges the buffer by request id.
+//! Threads are spawned once per run, not once per batch; one shard scores
+//! inline. Per-row margins are row-local dot products and every slot is
+//! written by exactly one shard, so the merged predictions are
+//! **bit-identical** for any shard count and any thread interleaving —
+//! the same discipline `run_rounds` applies to per-worker seed streams
+//! during training.
 //!
 //! Latency telemetry uses a deterministic cost model (virtual clock), not
 //! wall-clock reads: queue time is `service_start − arrival`, score time
@@ -189,66 +194,64 @@ impl ScoringEngine {
         }
 
         // Arrival order, ties broken by id: the queue discipline.
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| (requests[i].arrival, requests[i].id));
-        telemetry.first_arrival = requests[order[0]].arrival;
+        let mut arrivals: Vec<&ScoreRequest> = requests.iter().collect();
+        arrivals.sort_by_key(|r| (r.arrival, r.id));
+        telemetry.first_arrival = arrivals[0].arrival;
 
-        let mut predictions: Vec<Prediction> = Vec::with_capacity(requests.len());
+        // Plan: form every batch and charge its modeled latency. None of
+        // it needs a prediction.
         let mut workers_free_at = SimTime::ZERO;
-        let mut batch_index = 0u64;
         let mut start = 0usize;
-        // Reused across batches so the dispatch loop allocates only when a
-        // batch outgrows every previous one (hot_loop_alloc discipline).
-        let mut batch: Vec<&ScoreRequest> = Vec::new();
-        while start < order.len() {
+        while start < arrivals.len() {
             // Form the next batch: grow while under max_batch and the next
             // request arrives before the deadline of the batch opener.
-            let opened = requests[order[start]].arrival;
+            let opened = arrivals[start].arrival;
             let deadline = opened + self.policy.max_delay;
             let mut end = start + 1;
-            while end < order.len()
+            while end < arrivals.len()
                 && end - start < self.policy.max_batch
-                && requests[order[end]].arrival <= deadline
+                && arrivals[end].arrival <= deadline
             {
                 end += 1;
             }
             let size = end - start;
             let close = if size == self.policy.max_batch {
-                requests[order[end - 1]].arrival
+                arrivals[end - 1].arrival
             } else {
                 deadline
             };
             // Requests already arrived but not yet dispatched when the
             // batch closed (the batch itself has just left the queue).
-            let queue_depth_at_close = order[end..]
+            let queue_depth_at_close = arrivals[end..]
                 .iter()
-                .take_while(|&&i| requests[i].arrival <= close)
+                .take_while(|r| r.arrival <= close)
                 .count();
 
-            batch.clear();
-            batch.extend(order[start..end].iter().map(|&i| &requests[i]));
-            let (mut scored, score_s) = self.score_batch(&batch);
+            // The slowest shard's share of the batch.
+            let score_s = arrivals[start..end]
+                .chunks(self.chunk_len(size))
+                .map(|c| {
+                    c.iter()
+                        .map(|r| self.cost.row_secs(r.row.nnz()))
+                        .sum::<f64>()
+                })
+                .fold(0.0, f64::max);
             let merge_s = self.cost.merge_per_result.as_secs_f64() * size as f64;
-            // Merge by request id: shard outputs were concatenated in
-            // shard order; id order makes the result independent of the
-            // sharding entirely.
-            scored.sort_by_key(|p| p.id);
-
             let service_start = close.max(workers_free_at);
             let done = service_start
                 + SimDuration::from_secs_f64(score_s)
                 + SimDuration::from_secs_f64(merge_s);
             workers_free_at = done;
 
-            for &i in &order[start..end] {
+            for r in &arrivals[start..end] {
                 telemetry
                     .queue
-                    .record(service_start.since(requests[i].arrival).as_secs_f64());
+                    .record(service_start.since(r.arrival).as_secs_f64());
             }
             telemetry.score.record(score_s);
             telemetry.merge.record(merge_s);
             telemetry.batches.push(BatchRecord {
-                index: batch_index,
+                index: telemetry.batches.len() as u64,
                 size,
                 fill: size as f64 / self.policy.max_batch as f64,
                 queue_depth_at_close,
@@ -259,11 +262,18 @@ impl ScoringEngine {
                 merge_s,
             });
             telemetry.last_done = telemetry.last_done.max(done);
-            predictions.extend(scored);
-            batch_index += 1;
             start = end;
         }
 
+        // Score the planned batches in arrival order, then merge by id.
+        // The sort is stable, so duplicate ids keep their arrival order
+        // whatever the sharding.
+        let mut predictions = vec![UNSCORED; arrivals.len()];
+        self.score_batches(
+            &arrivals,
+            telemetry.batches.iter().map(|b| b.size),
+            &mut predictions,
+        );
         predictions.sort_by_key(|p| p.id);
         Ok(ServeRun {
             predictions,
@@ -271,51 +281,83 @@ impl ScoringEngine {
         })
     }
 
-    /// Scores one batch across the worker shards. Returns the shard
-    /// outputs concatenated in shard order plus the modeled score time
-    /// (the slowest shard's share).
-    fn score_batch(&self, batch: &[&ScoreRequest]) -> (Vec<Prediction>, f64) {
-        let chunk = batch.len().div_ceil(self.shards);
-        let chunks: Vec<&[&ScoreRequest]> = batch.chunks(chunk.max(1)).collect();
-        let mut score_s: f64 = 0.0;
-        for c in &chunks {
-            let shard_secs: f64 = c.iter().map(|r| self.cost.row_secs(r.row.nnz())).sum();
-            score_s = score_s.max(shard_secs);
-        }
+    /// Rows per shard chunk of a `size`-request batch.
+    fn chunk_len(&self, size: usize) -> usize {
+        size.div_ceil(self.shards)
+    }
+
+    /// Scores consecutive batches of `sizes` requests from `arrivals` into
+    /// the matching slots of `out`. Shard `s` scores the `s`-th contiguous
+    /// chunk of every batch on its own thread, and one scope holds every
+    /// shard for the whole run; one shard scores inline.
+    fn score_batches(
+        &self,
+        arrivals: &[&ScoreRequest],
+        sizes: impl IntoIterator<Item = usize>,
+        out: &mut [Prediction],
+    ) {
         let model = &self.model;
-        let mut out: Vec<Prediction> = Vec::with_capacity(batch.len());
-        if chunks.len() == 1 {
-            out.extend(chunks[0].iter().map(|r| score_one(model, r)));
-        } else {
-            // Real threads; each shard accumulates privately, results are
-            // collected in shard order so interleaving cannot matter.
-            let shard_outputs: Vec<Vec<Prediction>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|c| scope.spawn(move || c.iter().map(|r| score_one(model, r)).collect()))
-                    .collect();
-                // A shard panic is a bug (`run` already rejected bad
-                // requests): re-raise it rather than return a short batch.
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-            for shard in shard_outputs {
-                out.extend(shard);
+        if self.shards == 1 {
+            for (p, r) in out.iter_mut().zip(arrivals) {
+                *p = score_one(model, r);
+            }
+            return;
+        }
+        // Cut every batch into its shard chunks up front: each shard owns
+        // disjoint input and output slices, so no result needs merging.
+        type Piece<'a, 'r> = (&'a [&'r ScoreRequest], &'a mut [Prediction]);
+        let mut work: Vec<Vec<Piece>> = (0..self.shards).map(|_| Vec::new()).collect();
+        let mut in_rest = arrivals;
+        let mut out_rest = out;
+        for size in sizes {
+            let (batch_in, in_later) = in_rest.split_at(size);
+            let (batch_out, out_later) = out_rest.split_at_mut(size);
+            in_rest = in_later;
+            out_rest = out_later;
+            let chunk = self.chunk_len(size);
+            let pieces = batch_in.chunks(chunk).zip(batch_out.chunks_mut(chunk));
+            for (shard, piece) in work.iter_mut().zip(pieces) {
+                shard.push(piece);
             }
         }
-        (out, score_s)
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = work
+                .into_iter()
+                .map(|pieces| {
+                    scope.spawn(move || {
+                        for (rs, ps) in pieces {
+                            for (p, r) in ps.iter_mut().zip(rs) {
+                                *p = score_one(model, r);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // A shard panic is a bug (`run` already rejected bad
+            // requests): re-raise it rather than return unscored slots.
+            for h in handles {
+                h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            }
+        });
     }
 }
 
-/// Scores a single request.
+/// Placeholder for a slot `score_batches` has yet to fill.
+const UNSCORED: Prediction = Prediction {
+    id: 0,
+    margin: 0.0,
+    probability: 0.0,
+    label: 0.0,
+};
+
+/// Scores a single request: one dot product for both margin and
+/// probability.
 fn score_one(model: &GlmModel, r: &ScoreRequest) -> Prediction {
     let margin = model.margin(&r.row);
     Prediction {
         id: r.id,
         margin,
-        probability: model.predict_probability(&r.row),
+        probability: GlmModel::probability_of_margin(margin),
         label: if margin >= 0.0 { 1.0 } else { -1.0 },
     }
 }
@@ -433,6 +475,49 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_ids_keep_arrival_order() {
+        // Ids repeat within a batch and across batches, each copy with its
+        // own row; the slice is out of arrival order, and two copies of id
+        // 5 tie on arrival too (slice order breaks that tie).
+        let reqs = vec![
+            req(3, 80, &[(0, 3.0)]),
+            req(5, 30, &[(2, 1.0)]),
+            req(5, 60, &[(1, 2.0)]),
+            req(1, 40, &[(3, 1.0)]),
+            req(5, 10, &[(0, 1.0)]),
+            req(0, 70, &[(2, 2.0)]),
+            req(3, 20, &[(1, 1.0)]),
+            req(5, 60, &[(0, -1.5)]),
+            req(3, 50, &[(0, 2.0)]),
+            req(5, 70, &[(3, 2.0)]),
+        ];
+        let m = model();
+        let mut arrival: Vec<&ScoreRequest> = reqs.iter().collect();
+        arrival.sort_by_key(|r| (r.arrival, r.id));
+        let mut want: Vec<(u64, u64)> = arrival
+            .iter()
+            .map(|r| (r.id, m.margin(&r.row).to_bits()))
+            .collect();
+        want.sort_by_key(|&(id, _)| id);
+        let policy = BatchPolicy {
+            max_batch: 4,
+            max_delay: SimDuration::from_millis(1),
+        };
+        for shards in [1usize, 2, 3, 8] {
+            let run = ScoringEngine::new(model(), policy, shards)
+                .run(&reqs)
+                .unwrap();
+            assert_eq!(run.telemetry.num_batches(), 3);
+            let got: Vec<(u64, u64)> = run
+                .predictions
+                .iter()
+                .map(|p| (p.id, p.margin.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{shards} shard(s)");
+        }
+    }
+
+    #[test]
     fn repeated_runs_are_bit_identical() {
         let reqs: Vec<ScoreRequest> = (0..100)
             .map(|i| req(i, i * 100, &[(0, 1.0), (3, -0.5)]))
@@ -485,8 +570,9 @@ mod tests {
     #[test]
     #[should_panic]
     fn a_panicking_shard_propagates() {
-        // `run` rejects rows like this one; scored directly, it makes its
-        // shard panic, which must surface instead of shortening the batch.
+        // `run` rejects rows like this one; scored directly, it makes the
+        // second shard's thread panic, which must surface instead of
+        // shortening the batch (leaving its slot unscored).
         let engine = ScoringEngine::new(model(), BatchPolicy::default(), 2);
         let good = req(0, 0, &[(0, 1.0)]);
         let bad = ScoreRequest {
@@ -494,7 +580,8 @@ mod tests {
             arrival: SimTime::ZERO,
             row: SparseVector::from_pairs(7, &[(6, 1.0)]).unwrap(),
         };
-        engine.score_batch(&[&good, &bad]);
+        let mut out = [UNSCORED; 2];
+        engine.score_batches(&[&good, &bad], [2], &mut out);
     }
 
     #[test]

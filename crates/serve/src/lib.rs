@@ -17,8 +17,9 @@
 //!    snapshots to disk through the same shared codec
 //!    ([`ModelRegistry::write_file`] / [`ModelRegistry::read_file`]).
 //! 3. **Engine** ([`ScoringEngine`]) — micro-batched scoring under a
-//!    fixed batch-size + batch-deadline policy ([`BatchPolicy`]), scored
-//!    by a sharded `std::thread` worker pool.
+//!    fixed batch-size + batch-deadline policy ([`BatchPolicy`]): every
+//!    batch is planned first, then the whole run is scored on one
+//!    `std::thread` per shard.
 //! 4. **Workload** ([`QueryWorkload`]) — seeded open-loop request streams
 //!    with burst and hot-key-skew knobs.
 //! 5. **Telemetry** ([`ServeTelemetry`]) — queue/score/merge latency
@@ -37,8 +38,9 @@
 //! - each per-row margin is a row-local dot product: no cross-row
 //!   floating-point accumulation exists for thread interleaving to
 //!   reorder, so scores are bit-identical however the batch is sharded;
-//! - shard outputs are concatenated in shard order and merged into
-//!   request-id order, erasing scheduling order from the output;
+//! - each shard writes only its own slots of one arrival-ordered buffer,
+//!   which one stable sort merges into request-id order, erasing
+//!   scheduling order from the output;
 //! - latency telemetry uses the engine's virtual-clock cost model
 //!   ([`ScoreCostModel`]), not wall-clock reads (those live only in the
 //!   bench crate).

@@ -51,6 +51,24 @@ impl LatencyHistogram {
         FIRST_BOUND_S * (1u64 << i) as f64
     }
 
+    /// The first bucket whose bound is `>= v`, or `NUM_BUCKETS` for the
+    /// overflow bucket (`v` finite and non-negative). One more than the
+    /// binary exponent of `v / FIRST_BOUND_S` lands within one bucket of
+    /// it (one above when the quotient is, or rounds onto, a power of
+    /// two), so one step against the exact bounds settles it.
+    fn bucket(v: f64) -> usize {
+        let bits = (v / FIRST_BOUND_S).to_bits();
+        let exponent = ((bits >> 52) & 0x7ff) as i64 - 1022;
+        let i = exponent.clamp(0, NUM_BUCKETS as i64) as usize;
+        if i > 0 && v <= Self::bound(i - 1) {
+            i - 1
+        } else if i < NUM_BUCKETS && v > Self::bound(i) {
+            i + 1
+        } else {
+            i
+        }
+    }
+
     /// Records one latency observation (seconds; negative or non-finite
     /// values are clamped to zero).
     pub fn record(&mut self, secs: f64) {
@@ -58,13 +76,10 @@ impl LatencyHistogram {
         self.total += 1;
         self.sum_s += v;
         self.max_s = self.max_s.max(v);
-        for i in 0..NUM_BUCKETS {
-            if v <= Self::bound(i) {
-                self.counts[i] += 1;
-                return;
-            }
+        match self.counts.get_mut(Self::bucket(v)) {
+            Some(c) => *c += 1,
+            None => self.overflow += 1,
         }
-        self.overflow += 1;
     }
 
     /// Number of observations.
@@ -204,6 +219,58 @@ impl ServeTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear scan `record` used before `bucket`: the oracle.
+    fn record_by_scan(h: &mut LatencyHistogram, secs: f64) {
+        let v = if secs.is_finite() { secs.max(0.0) } else { 0.0 };
+        h.total += 1;
+        h.sum_s += v;
+        h.max_s = h.max_s.max(v);
+        for i in 0..NUM_BUCKETS {
+            if v <= LatencyHistogram::bound(i) {
+                h.counts[i] += 1;
+                return;
+            }
+        }
+        h.overflow += 1;
+    }
+
+    #[test]
+    fn bucket_lookup_matches_the_linear_scan() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            -1e-9,
+            -5.0,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e300,
+            f64::MAX,
+        ];
+        // A geometric sweep from below the first bound into overflow.
+        values.extend((0..20_000).map(|k| 1e-7 * 1.0021f64.powi(k)));
+        for i in 0..NUM_BUCKETS {
+            let b = LatencyHistogram::bound(i);
+            values.extend([
+                b,
+                f64::from_bits(b.to_bits() - 1),
+                f64::from_bits(b.to_bits() + 1),
+                b * 0.75,
+                b * 1.5,
+            ]);
+        }
+        for v in values {
+            let mut fast = LatencyHistogram::new();
+            let mut slow = LatencyHistogram::new();
+            fast.record(v);
+            record_by_scan(&mut slow, v);
+            assert_eq!(fast, slow, "value {v:e} ({:#x})", v.to_bits());
+        }
+    }
 
     #[test]
     fn empty_histogram_is_all_zero() {

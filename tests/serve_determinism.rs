@@ -5,6 +5,10 @@
 //!    telemetry (fill, queue depth) whether it runs on 1, 2, or 8 worker
 //!    shards. Batching is a pure function of arrivals and policy; shards
 //!    only split the dot-product work.
+//!    A known-answer test pins a digest of whole runs (every prediction
+//!    bit, every batch record, every histogram bucket) under three batch
+//!    policies, so any change to how the engine schedules its shards must
+//!    reproduce the same bytes.
 //! 2. **Artifact fidelity** — for every one of the seven training
 //!    systems, a model encoded to the binary artifact format and decoded
 //!    back scores identically (to the bit) to the in-memory model, and
@@ -12,14 +16,16 @@
 
 use std::str::FromStr;
 
+use mllib_star::codec::Fnv1a;
 use mllib_star::core::{System, TrainConfig, TrainProvenance};
 use mllib_star::data::SyntheticConfig;
 use mllib_star::glm::{fit_path, GlmModel, Loss, PathConfig, PathPoint};
-use mllib_star::linalg::CscMatrix;
+use mllib_star::linalg::{CscMatrix, DenseVector};
 use mllib_star::serve::{
     BatchPolicy, DatasetFingerprint, ModelArtifact, ModelRegistry, QueryWorkload, ScoringEngine,
+    ServeRun,
 };
-use mllib_star::sim::ClusterSpec;
+use mllib_star::sim::{ClusterSpec, SimDuration};
 
 fn train_cfg(rounds: u64) -> TrainConfig {
     TrainConfig {
@@ -97,6 +103,104 @@ fn shard_sweep_yields_identical_predictions_and_batching() {
     let engine = ScoringEngine::for_artifact(&artifact, BatchPolicy::default(), 8);
     let again = engine.run(&requests).expect("second run");
     assert_eq!(baseline.predictions, again.predictions);
+}
+
+/// Folds a serving run into one FNV-1a digest: every prediction's bits,
+/// every `BatchRecord` field, and the three latency histograms.
+fn run_digest(run: &ServeRun) -> u64 {
+    let mut h = Fnv1a::new();
+    for p in &run.predictions {
+        h.write_u64(p.id);
+        h.write_u64(p.margin.to_bits());
+        h.write_u64(p.probability.to_bits());
+        h.write_u64(p.label.to_bits());
+    }
+    let t = &run.telemetry;
+    for b in &t.batches {
+        h.write_u64(b.index);
+        h.write_u64(b.size as u64);
+        h.write_u64(b.fill.to_bits());
+        h.write_u64(b.queue_depth_at_close as u64);
+        h.write_u64(b.close.as_nanos());
+        h.write_u64(b.service_start.as_nanos());
+        h.write_u64(b.done.as_nanos());
+        h.write_u64(b.score_s.to_bits());
+        h.write_u64(b.merge_s.to_bits());
+    }
+    h.write_u64(t.requests);
+    h.write_u64(t.first_arrival.as_nanos());
+    h.write_u64(t.last_done.as_nanos());
+    // Bucket counts are private; the Debug form prints every field, and
+    // its floats round-trip exactly.
+    for hist in [&t.queue, &t.score, &t.merge] {
+        h.write(format!("{hist:?}").as_bytes());
+    }
+    h.finish()
+}
+
+/// Known answer: a seeded workload under three batch policies, each run
+/// at 1, 2, 3 and 8 shards, hashes to pinned digests. The digests differ
+/// across shard counts only because `score_s` models the slowest shard's
+/// share. The `max_batch: 5` policy with a 20 µs deadline forms batches
+/// that are often smaller than the shard count and split into uneven
+/// chunks.
+#[test]
+fn serving_runs_match_the_pinned_digest_at_every_shard_count() {
+    let ds = SyntheticConfig::small("serve-kat", 600, 48).generate();
+    // Rational weights (no libm in the model itself), both signs, some
+    // zero.
+    let weights: Vec<f64> = (0..ds.num_features())
+        .map(|j| ((j * 37 % 17) as f64 - 8.0) * 0.125)
+        .collect();
+    let model = GlmModel::from_weights(DenseVector::from_vec(weights));
+    let requests = QueryWorkload {
+        num_requests: 500,
+        seed: 7,
+        ..QueryWorkload::default()
+    }
+    .generate(&ds);
+
+    let policies = [
+        BatchPolicy::default(),
+        BatchPolicy {
+            max_batch: 1,
+            ..BatchPolicy::default()
+        },
+        BatchPolicy {
+            max_batch: 5,
+            max_delay: SimDuration::from_nanos(20_000),
+        },
+    ];
+    // Per policy: the digests at 1, 2, 3 and 8 shards.
+    let pinned: [[u64; 4]; 3] = [
+        [
+            0x0b84_d1eb_91cc_0e7c,
+            0xce87_70ed_94a9_2408,
+            0xed1e_a11b_6411_8c5b,
+            0x65d6_733f_7cbf_4144,
+        ],
+        [0x8165_026a_1565_0adc; 4],
+        [
+            0x2e54_8606_6445_5d48,
+            0xc023_beaa_becb_e4e1,
+            0xf610_1c27_1a11_fc74,
+            0xb581_62ae_19b5_a9a3,
+        ],
+    ];
+    for (policy, wants) in policies.iter().zip(pinned) {
+        for (shards, want) in [1usize, 2, 3, 8].into_iter().zip(wants) {
+            let run = ScoringEngine::new(model.clone(), *policy, shards)
+                .run(&requests)
+                .expect("serve run");
+            assert_eq!(run.predictions.len(), requests.len());
+            assert_eq!(
+                run_digest(&run),
+                want,
+                "policy {policy:?} at {shards} shard(s): digest {:#018x}",
+                run_digest(&run)
+            );
+        }
+    }
 }
 
 #[test]
