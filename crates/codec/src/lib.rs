@@ -193,12 +193,28 @@ pub fn peek_version(bytes: &[u8], magic: u32) -> Result<u32, CodecError> {
     Ok(le_u32(&bytes[4..8]))
 }
 
+/// `b` must be exactly 4 bytes.
+#[inline]
 fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+    let mut a = [0u8; 4];
+    a.copy_from_slice(b);
+    u32::from_le_bytes(a)
 }
 
+/// `b` must be exactly 8 bytes.
+#[inline]
 fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+    let mut a = [0u8; 8];
+    a.copy_from_slice(b);
+    u64::from_le_bytes(a)
+}
+
+/// The error for a field that runs past the end of the payload. Kept out
+/// of line so the hot read path inlines to a bounds check and a load.
+#[cold]
+#[inline(never)]
+fn overrun(n: usize) -> CodecError {
+    CodecError::Corrupt(format!("payload ends inside a {n}-byte field"))
 }
 
 /// Little-endian payload builder, the write-side twin of [`Reader`].
@@ -309,6 +325,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         match end {
@@ -317,36 +334,39 @@ impl<'a> Reader<'a> {
                 self.pos = end;
                 Ok(s)
             }
-            None => Err(CodecError::Corrupt(format!(
-                "payload ends inside a {n}-byte field"
-            ))),
+            None => Err(overrun(n)),
         }
     }
 
     /// The next byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.bytes(1)?[0])
     }
 
     /// The next `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
         let b = self.bytes(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// The next `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         let b = self.bytes(4)?;
         Ok(le_u32(b))
     }
 
     /// The next `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         let b = self.bytes(8)?;
         Ok(le_u64(b))
     }
 
     /// The next `f64`, decoded from its exact bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }

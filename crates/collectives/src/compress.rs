@@ -14,14 +14,13 @@
 //! decode from it. The caller computes its error-feedback residual as
 //! `input − decoded`, which is exactly the mass the wire lost.
 
-use bytes::Bytes;
 use mlstar_linalg::{DenseVector, SparseVector};
 
 use crate::wire;
 pub use crate::wire::FrameSwitch;
 
 /// How a vector is sparsified before encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Sparsifier {
     /// Keep every stored (bitwise-nonzero) coordinate — lossless, so the
     /// sparse frame decodes bit-identically to the input.
@@ -41,7 +40,7 @@ pub enum Sparsifier {
 }
 
 /// Compression policy for the collectives' update exchange.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionConfig {
     /// Frame-kind policy. [`FrameSwitch::Dense`] (the default) disables
     /// compression entirely and keeps the legacy dense path, which is
@@ -103,7 +102,7 @@ impl CompressionConfig {
 #[derive(Debug, Clone)]
 pub struct EncodedUpdate {
     /// The winning wire frame (smallest admissible encoding).
-    pub frame: Bytes,
+    pub frame: Vec<u8>,
     /// The values a receiver decodes from `frame` — the caller's
     /// error-feedback residual is `input − decoded`.
     pub decoded: DenseVector,
@@ -156,7 +155,9 @@ fn sparsify(v: &DenseVector, sparsifier: Sparsifier) -> Option<SparseVector> {
 /// Lossless guarantee: with [`Sparsifier::Exact`] and `quantize` off,
 /// `decoded` is bit-identical to `v` regardless of which frame wins.
 /// Non-finite inputs (a diverged model) always fall back to the dense
-/// frame, which represents every bit pattern.
+/// frame, which represents every bit pattern. Values that are not
+/// [`wire::quantizable`] (a range too wide for a finite step) are never
+/// offered a quantized frame, so `decoded` is finite whenever `v` is.
 pub fn compress_update(v: &DenseVector, cfg: &CompressionConfig) -> EncodedUpdate {
     let sparse = sparsify(v, cfg.sparsifier);
 
@@ -174,7 +175,7 @@ pub fn compress_update(v: &DenseVector, cfg: &CompressionConfig) -> EncodedUpdat
                 decoded: wire::materialize_exact(s),
             });
         }
-        if cfg.quantize {
+        if cfg.quantize && wire::quantizable(s.values()) {
             let frame = wire::encode_qsparse(s);
             if frame.len() < best_len {
                 let decoded = wire::decode_qsparse(&frame)
@@ -185,7 +186,7 @@ pub fn compress_update(v: &DenseVector, cfg: &CompressionConfig) -> EncodedUpdat
             }
         }
     }
-    if cfg.quantize && v.is_finite() {
+    if cfg.quantize && wire::quantizable(v.as_slice()) {
         let frame = wire::encode_qdense(v);
         if frame.len() < best_len {
             let decoded =
@@ -318,6 +319,38 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_range_falls_back_to_an_exact_frame() {
+        // `hi − lo = ∞`: a quantized frame would decode to NaNs.
+        let v = DenseVector::from_vec(vec![-1e308, 0.5, 1e308]);
+        let cfg = CompressionConfig {
+            switch: FrameSwitch::Adaptive,
+            quantize: true,
+            ..CompressionConfig::default()
+        };
+        let out = compress_update(&v, &cfg);
+        assert!(out.decoded.is_finite());
+        assert_eq!(bits(&out.decoded), bits(&v));
+        assert_eq!(wire::frame_kind(&out.frame), Some(wire::KIND_DENSE));
+        // The error-feedback residual `input − decoded` stays zero.
+        let mut residual = v.clone();
+        residual.axpy(-1.0, &out.decoded);
+        assert!(residual.is_finite());
+        assert_eq!(residual.norm1(), 0.0);
+
+        // Same for the sparse candidates: with four stored values the
+        // qsparse frame (52 B) would undercut the exact sparse one
+        // (64 B); instead the exact sparse frame wins.
+        let mut v = DenseVector::zeros(64);
+        v.set(3, -1e308);
+        v.set(10, 1.0);
+        v.set(20, 2.0);
+        v.set(40, 1e308);
+        let out = compress_update(&v, &cfg);
+        assert_eq!(wire::frame_kind(&out.frame), Some(wire::KIND_SPARSE));
+        assert_eq!(bits(&out.decoded), bits(&v));
+    }
+
+    #[test]
     fn compression_is_deterministic() {
         let values: Vec<f64> = (0..128)
             .map(|i| if i % 7 == 0 { (i as f64).sin() } else { 0.0 })
@@ -331,7 +364,7 @@ mod tests {
         };
         let a = compress_update(&v, &cfg);
         let b = compress_update(&v, &cfg);
-        assert_eq!(a.frame.as_ref_slice(), b.frame.as_ref_slice());
+        assert_eq!(a.frame, b.frame);
         assert_eq!(bits(&a.decoded), bits(&b.decoded));
     }
 }

@@ -68,8 +68,9 @@ pub use allreduce::{all_reduce_average, compressed_all_reduce_average, reduce_sc
 pub use broadcast::broadcast_model;
 pub use compress::{compress_update, CompressionConfig, EncodedUpdate, Sparsifier};
 pub use ring::ring_all_reduce_average;
-pub use size::{
-    dense_bytes, partition_bytes, quantized_dense_bytes, quantized_sparse_bytes, sparse_bytes,
-};
+pub use size::partition_bytes;
 pub use tree::tree_aggregate;
-pub use wire::FrameSwitch;
+pub use wire::{
+    encoded_dense_len as dense_bytes, encoded_qdense_len as quantized_dense_bytes,
+    encoded_qsparse_len as quantized_sparse_bytes, encoded_sparse_len as sparse_bytes, FrameSwitch,
+};

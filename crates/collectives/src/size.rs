@@ -1,30 +1,8 @@
-//! Message-size model.
+//! Message-size model. The per-kind frame sizes (`dense_bytes`, …) are
+//! the frame lengths defined in [`crate::wire`]; this module adds what is
+//! not a single frame.
 
-/// Serialized size of a dense vector of `dim` `f64` coordinates, plus a
-/// small frame header.
-pub fn dense_bytes(dim: usize) -> usize {
-    dim * 8 + 16
-}
-
-/// Serialized size of a sparse vector with `nnz` stored entries
-/// (4-byte index + 8-byte value each), plus a frame header.
-pub fn sparse_bytes(nnz: usize) -> usize {
-    nnz * 12 + 16
-}
-
-/// Serialized size of an 8-bit quantized dense vector: one level byte
-/// per coordinate, plus the frame header and the 16-byte `[lo, hi]`
-/// dequantization range.
-pub fn quantized_dense_bytes(dim: usize) -> usize {
-    dim + 32
-}
-
-/// Serialized size of an 8-bit quantized sparse vector with `nnz`
-/// stored entries (4-byte index + 1-byte level each), plus the frame
-/// header and the 16-byte `[lo, hi]` dequantization range.
-pub fn quantized_sparse_bytes(nnz: usize) -> usize {
-    nnz * 5 + 32
-}
+use crate::dense_bytes;
 
 /// Size of one model partition when a `dim`-dimensional model is split
 /// across `k` owners (the largest partition's size, which is what the
@@ -41,6 +19,7 @@ pub fn partition_bytes(dim: usize, k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{quantized_dense_bytes, quantized_sparse_bytes, sparse_bytes};
 
     #[test]
     fn dense_scales_linearly() {

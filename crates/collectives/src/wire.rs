@@ -1,11 +1,15 @@
 //! Wire encoding for vectors crossing the (simulated) network.
 //!
-//! The size model in [`crate::dense_bytes`] / [`crate::sparse_bytes`] /
-//! [`crate::quantized_dense_bytes`] / [`crate::quantized_sparse_bytes`] is
-//! not a guess: it is the exact length of this encoding (16-byte header +
-//! packed little-endian payload). The collectives charge simulated time
-//! from those sizes; this module provides the actual round-trippable
-//! bytes for users persisting models or bridging to real transports.
+//! The frame-length functions ([`encoded_dense_len`],
+//! [`encoded_sparse_len`], [`encoded_qdense_len`],
+//! [`encoded_qsparse_len`]) are the one definition of each kind's size.
+//! The crate root re-exports them as [`crate::dense_bytes`],
+//! [`crate::sparse_bytes`], [`crate::quantized_dense_bytes`] and
+//! [`crate::quantized_sparse_bytes`], and the collectives charge
+//! simulated time from them, so the size model is the exact length of
+//! these frames (16-byte header + packed little-endian payload). Frames
+//! are built and parsed with `mlstar_codec`'s [`Writer`] and [`Reader`],
+//! the same codec as every other format in the workspace.
 //!
 //! Layout (all little-endian; `pad` and `reserved` must be zero):
 //!
@@ -31,7 +35,7 @@
 //! the adaptive path — they are produced only inside the compressed
 //! collectives, where the error-feedback accumulators live.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use mlstar_codec::{CodecError, Reader, Writer};
 use mlstar_linalg::{DenseVector, LinalgError, SparseVector};
 
 /// `"MLS*"` — the frame magic.
@@ -88,7 +92,8 @@ pub enum WireError {
         /// Declared dimension.
         dim: usize,
     },
-    /// A quantized frame's `[lo, hi]` range is non-finite or inverted.
+    /// A quantized frame's `[lo, hi]` range is non-finite, inverted, or
+    /// too wide for a finite quantization step.
     BadQuantRange {
         /// Declared lower bound.
         lo: f64,
@@ -97,6 +102,11 @@ pub enum WireError {
     },
     /// The payload violates a vector invariant (unsorted indices, NaN…).
     Invalid(LinalgError),
+    /// The payload ended inside a field. Every decoder checks the frame
+    /// length before reading the payload, so this is unreachable for a
+    /// frame that passed that check; it exists so a decoder bug surfaces
+    /// as an error, never as a panic.
+    Overrun(String),
 }
 
 impl std::fmt::Display for WireError {
@@ -126,32 +136,39 @@ impl std::fmt::Display for WireError {
                 write!(f, "invalid quantization range [{lo}, {hi}]")
             }
             WireError::Invalid(e) => write!(f, "invalid payload: {e}"),
+            WireError::Overrun(why) => write!(f, "payload overrun: {why}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-/// Exact encoded length of a dense vector — equals
-/// [`crate::dense_bytes`]`(dim)`.
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Overrun(e.to_string())
+    }
+}
+
+/// Exact encoded length of a dense vector. The crate root re-exports it
+/// as [`crate::dense_bytes`], the size the collectives charge for.
 pub fn encoded_dense_len(dim: usize) -> usize {
     HEADER_LEN + dim * 8
 }
 
-/// Exact encoded length of a sparse vector — equals
-/// [`crate::sparse_bytes`]`(nnz)`.
+/// Exact encoded length of a sparse vector, re-exported as
+/// [`crate::sparse_bytes`].
 pub fn encoded_sparse_len(nnz: usize) -> usize {
     HEADER_LEN + nnz * 12
 }
 
-/// Exact encoded length of a quantized dense vector — equals
-/// [`crate::quantized_dense_bytes`]`(dim)`.
+/// Exact encoded length of a quantized dense vector, re-exported as
+/// [`crate::quantized_dense_bytes`].
 pub fn encoded_qdense_len(dim: usize) -> usize {
     HEADER_LEN + 16 + dim
 }
 
-/// Exact encoded length of a quantized sparse vector — equals
-/// [`crate::quantized_sparse_bytes`]`(nnz)`.
+/// Exact encoded length of a quantized sparse vector, re-exported as
+/// [`crate::quantized_sparse_bytes`].
 pub fn encoded_qsparse_len(nnz: usize) -> usize {
     HEADER_LEN + 16 + nnz * 5
 }
@@ -168,43 +185,43 @@ fn check_len(expected: usize, actual: usize) -> Result<(), WireError> {
 }
 
 /// Writes the 16-byte header.
-fn put_header(buf: &mut BytesMut, kind: u8, dim: u32, aux: u32) {
-    buf.put_u32_le(WIRE_MAGIC);
-    buf.put_u8(kind);
-    buf.put_u8(0);
-    buf.put_u8(0);
-    buf.put_u8(0);
-    buf.put_u32_le(dim);
-    buf.put_u32_le(aux);
+fn put_header(w: &mut Writer, kind: u8, dim: u32, aux: u32) {
+    w.put_u32(WIRE_MAGIC);
+    w.put_u8(kind);
+    w.put_u8(0);
+    w.put_u8(0);
+    w.put_u8(0);
+    w.put_u32(dim);
+    w.put_u32(aux);
 }
 
 /// Parses and validates the 16-byte header (magic, zero pad), returning
-/// `(kind, dim, aux, payload)`.
-fn decode_header(frame: &Bytes) -> Result<(u8, usize, usize, Bytes), WireError> {
+/// `(kind, dim, aux)` and a reader positioned at the payload.
+fn decode_header(frame: &[u8]) -> Result<(u8, usize, usize, Reader<'_>), WireError> {
     if frame.len() < HEADER_LEN {
         return Err(WireError::Truncated {
             expected: HEADER_LEN,
             actual: frame.len(),
         });
     }
-    let mut header = frame.slice(..HEADER_LEN);
-    let magic = header.get_u32_le();
+    let mut r = Reader::new(frame);
+    let magic = r.u32()?;
     if magic != WIRE_MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let kind = header.get_u8();
-    let pad0 = header.get_u8();
-    let pad1 = header.get_u8();
-    let pad2 = header.get_u8();
+    let kind = r.u8()?;
+    let pad0 = r.u8()?;
+    let pad1 = r.u8()?;
+    let pad2 = r.u8()?;
     if pad0 != 0 || pad1 != 0 || pad2 != 0 {
         return Err(WireError::ReservedNonzero {
             offset: 5,
             value: u32::from_le_bytes([pad0, pad1, pad2, 0]),
         });
     }
-    let dim = header.get_u32_le() as usize;
-    let aux = header.get_u32_le() as usize;
-    Ok((kind, dim, aux, frame.slice(HEADER_LEN..)))
+    let dim = r.u32()? as usize;
+    let aux = r.u32()? as usize;
+    Ok((kind, dim, aux, r))
 }
 
 /// Encodes a dense vector.
@@ -212,14 +229,14 @@ fn decode_header(frame: &Bytes) -> Result<(u8, usize, usize, Bytes), WireError> 
 /// # Panics
 ///
 /// Panics if `dim > u32::MAX` (the wire format's limit).
-pub fn encode_dense(v: &DenseVector) -> Bytes {
+pub fn encode_dense(v: &DenseVector) -> Vec<u8> {
     assert!(v.dim() <= u32::MAX as usize, "dimension exceeds wire limit");
-    let mut buf = BytesMut::with_capacity(encoded_dense_len(v.dim()));
-    put_header(&mut buf, KIND_DENSE, v.dim() as u32, 0);
+    let mut w = Writer::with_capacity(encoded_dense_len(v.dim()));
+    put_header(&mut w, KIND_DENSE, v.dim() as u32, 0);
     for &x in v.as_slice() {
-        buf.put_f64_le(x);
+        w.put_f64(x);
     }
-    buf.freeze()
+    w.into_payload()
 }
 
 /// Encodes a sparse vector.
@@ -227,18 +244,18 @@ pub fn encode_dense(v: &DenseVector) -> Bytes {
 /// # Panics
 ///
 /// Panics if `dim` or `nnz` exceeds `u32::MAX`.
-pub fn encode_sparse(v: &SparseVector) -> Bytes {
+pub fn encode_sparse(v: &SparseVector) -> Vec<u8> {
     assert!(v.dim() <= u32::MAX as usize, "dimension exceeds wire limit");
     assert!(v.nnz() <= u32::MAX as usize, "nnz exceeds wire limit");
-    let mut buf = BytesMut::with_capacity(encoded_sparse_len(v.nnz()));
-    put_header(&mut buf, KIND_SPARSE, v.dim() as u32, v.nnz() as u32);
+    let mut w = Writer::with_capacity(encoded_sparse_len(v.nnz()));
+    put_header(&mut w, KIND_SPARSE, v.dim() as u32, v.nnz() as u32);
     for &i in v.indices() {
-        buf.put_u32_le(i);
+        w.put_u32(i);
     }
     for &x in v.values() {
-        buf.put_f64_le(x);
+        w.put_f64(x);
     }
-    buf.freeze()
+    w.into_payload()
 }
 
 /// Encodes a dense vector with 8-bit linear quantization over its value
@@ -246,22 +263,25 @@ pub fn encode_sparse(v: &SparseVector) -> Bytes {
 ///
 /// # Panics
 ///
-/// Panics if `dim > u32::MAX` or any value is non-finite (quantization
-/// has no representation for NaN/∞ — callers gate on
-/// [`DenseVector::is_finite`]).
-pub fn encode_qdense(v: &DenseVector) -> Bytes {
+/// Panics if `dim > u32::MAX` or the values are not [`quantizable`]
+/// (quantization has no representation for NaN/∞, nor a finite step
+/// across a range wider than `f64::MAX`).
+pub fn encode_qdense(v: &DenseVector) -> Vec<u8> {
     assert!(v.dim() <= u32::MAX as usize, "dimension exceeds wire limit");
-    assert!(v.is_finite(), "quantization requires finite values");
+    assert!(
+        quantizable(v.as_slice()),
+        "quantization requires finite values with a finite range"
+    );
     let (lo, hi) = value_range(v.as_slice());
     let step = quant_step(lo, hi);
-    let mut buf = BytesMut::with_capacity(encoded_qdense_len(v.dim()));
-    put_header(&mut buf, KIND_QDENSE, v.dim() as u32, 0);
-    buf.put_f64_le(lo);
-    buf.put_f64_le(hi);
+    let mut w = Writer::with_capacity(encoded_qdense_len(v.dim()));
+    put_header(&mut w, KIND_QDENSE, v.dim() as u32, 0);
+    w.put_f64(lo);
+    w.put_f64(hi);
     for &x in v.as_slice() {
-        buf.put_u8(quant_level(x, lo, step));
+        w.put_u8(quant_level(x, lo, step));
     }
-    buf.freeze()
+    w.into_payload()
 }
 
 /// Encodes a sparse vector with 8-bit linear quantization over its
@@ -269,29 +289,34 @@ pub fn encode_qdense(v: &DenseVector) -> Bytes {
 ///
 /// # Panics
 ///
-/// Panics if `dim` or `nnz` exceeds `u32::MAX` (values are already
-/// finite by the [`SparseVector`] invariant).
-pub fn encode_qsparse(v: &SparseVector) -> Bytes {
+/// Panics if `dim` or `nnz` exceeds `u32::MAX`, or the stored values are
+/// not [`quantizable`] (they are finite by the [`SparseVector`]
+/// invariant, but their range may still be too wide).
+pub fn encode_qsparse(v: &SparseVector) -> Vec<u8> {
     assert!(v.dim() <= u32::MAX as usize, "dimension exceeds wire limit");
     assert!(v.nnz() <= u32::MAX as usize, "nnz exceeds wire limit");
+    assert!(
+        quantizable(v.values()),
+        "quantization requires a finite range"
+    );
     let (lo, hi) = value_range(v.values());
     let step = quant_step(lo, hi);
-    let mut buf = BytesMut::with_capacity(encoded_qsparse_len(v.nnz()));
-    put_header(&mut buf, KIND_QSPARSE, v.dim() as u32, v.nnz() as u32);
-    buf.put_f64_le(lo);
-    buf.put_f64_le(hi);
+    let mut w = Writer::with_capacity(encoded_qsparse_len(v.nnz()));
+    put_header(&mut w, KIND_QSPARSE, v.dim() as u32, v.nnz() as u32);
+    w.put_f64(lo);
+    w.put_f64(hi);
     for &i in v.indices() {
-        buf.put_u32_le(i);
+        w.put_u32(i);
     }
     for &x in v.values() {
-        buf.put_u8(quant_level(x, lo, step));
+        w.put_u8(quant_level(x, lo, step));
     }
-    buf.freeze()
+    w.into_payload()
 }
 
 /// Decodes a dense vector frame, rejecting a nonzero reserved word.
-pub fn decode_dense(frame: &Bytes) -> Result<DenseVector, WireError> {
-    let (kind, dim, aux, mut payload) = decode_header(frame)?;
+pub fn decode_dense(frame: &[u8]) -> Result<DenseVector, WireError> {
+    let (kind, dim, aux, mut r) = decode_header(frame)?;
     if kind != KIND_DENSE {
         return Err(WireError::BadKind(kind));
     }
@@ -304,14 +329,14 @@ pub fn decode_dense(frame: &Bytes) -> Result<DenseVector, WireError> {
     check_len(encoded_dense_len(dim), frame.len())?;
     let mut values = Vec::with_capacity(dim);
     for _ in 0..dim {
-        values.push(payload.get_f64_le());
+        values.push(r.f64()?);
     }
     Ok(DenseVector::from_vec(values))
 }
 
 /// Decodes a sparse vector frame, validating all sparse invariants.
-pub fn decode_sparse(frame: &Bytes) -> Result<SparseVector, WireError> {
-    let (kind, dim, nnz, mut payload) = decode_header(frame)?;
+pub fn decode_sparse(frame: &[u8]) -> Result<SparseVector, WireError> {
+    let (kind, dim, nnz, mut r) = decode_header(frame)?;
     if kind != KIND_SPARSE {
         return Err(WireError::BadKind(kind));
     }
@@ -321,18 +346,18 @@ pub fn decode_sparse(frame: &Bytes) -> Result<SparseVector, WireError> {
     check_len(encoded_sparse_len(nnz), frame.len())?;
     let mut indices = Vec::with_capacity(nnz);
     for _ in 0..nnz {
-        indices.push(payload.get_u32_le());
+        indices.push(r.u32()?);
     }
     let mut values = Vec::with_capacity(nnz);
     for _ in 0..nnz {
-        values.push(payload.get_f64_le());
+        values.push(r.f64()?);
     }
     SparseVector::new(dim, indices, values).map_err(WireError::Invalid)
 }
 
 /// Decodes a quantized dense frame back to the dequantized values.
-pub fn decode_qdense(frame: &Bytes) -> Result<DenseVector, WireError> {
-    let (kind, dim, aux, mut payload) = decode_header(frame)?;
+pub fn decode_qdense(frame: &[u8]) -> Result<DenseVector, WireError> {
+    let (kind, dim, aux, mut r) = decode_header(frame)?;
     if kind != KIND_QDENSE {
         return Err(WireError::BadKind(kind));
     }
@@ -343,20 +368,20 @@ pub fn decode_qdense(frame: &Bytes) -> Result<DenseVector, WireError> {
         });
     }
     check_len(encoded_qdense_len(dim), frame.len())?;
-    let lo = payload.get_f64_le();
-    let hi = payload.get_f64_le();
+    let lo = r.f64()?;
+    let hi = r.f64()?;
     let step = checked_quant_step(lo, hi)?;
     let mut values = Vec::with_capacity(dim);
     for _ in 0..dim {
-        values.push(dequant(payload.get_u8(), lo, step));
+        values.push(dequant(r.u8()?, lo, step));
     }
     Ok(DenseVector::from_vec(values))
 }
 
 /// Decodes a quantized sparse frame back to the dequantized values,
 /// validating all sparse invariants.
-pub fn decode_qsparse(frame: &Bytes) -> Result<SparseVector, WireError> {
-    let (kind, dim, nnz, mut payload) = decode_header(frame)?;
+pub fn decode_qsparse(frame: &[u8]) -> Result<SparseVector, WireError> {
+    let (kind, dim, nnz, mut r) = decode_header(frame)?;
     if kind != KIND_QSPARSE {
         return Err(WireError::BadKind(kind));
     }
@@ -364,16 +389,16 @@ pub fn decode_qsparse(frame: &Bytes) -> Result<SparseVector, WireError> {
         return Err(WireError::NnzExceedsDim { nnz, dim });
     }
     check_len(encoded_qsparse_len(nnz), frame.len())?;
-    let lo = payload.get_f64_le();
-    let hi = payload.get_f64_le();
+    let lo = r.f64()?;
+    let hi = r.f64()?;
     let step = checked_quant_step(lo, hi)?;
     let mut indices = Vec::with_capacity(nnz);
     for _ in 0..nnz {
-        indices.push(payload.get_u32_le());
+        indices.push(r.u32()?);
     }
     let mut values = Vec::with_capacity(nnz);
     for _ in 0..nnz {
-        values.push(dequant(payload.get_u8(), lo, step));
+        values.push(dequant(r.u8()?, lo, step));
     }
     SparseVector::new(dim, indices, values).map_err(WireError::Invalid)
 }
@@ -382,7 +407,7 @@ pub fn decode_qsparse(frame: &Bytes) -> Result<SparseVector, WireError> {
 /// the dense / exact-sparse frames is smaller by actual encoded length
 /// (only when `switch` allows the sparse form). Non-finite vectors fall
 /// back to the dense frame, which represents every bit pattern.
-pub fn encode_adaptive(v: &DenseVector, switch: FrameSwitch) -> Bytes {
+pub fn encode_adaptive(v: &DenseVector, switch: FrameSwitch) -> Vec<u8> {
     match sparse_candidate(v, switch) {
         Some(s) => encode_sparse(&s),
         None => encode_dense(v),
@@ -390,7 +415,7 @@ pub fn encode_adaptive(v: &DenseVector, switch: FrameSwitch) -> Bytes {
 }
 
 /// Decodes either frame kind produced by [`encode_adaptive`].
-pub fn decode_adaptive(frame: &Bytes) -> Result<DenseVector, WireError> {
+pub fn decode_adaptive(frame: &[u8]) -> Result<DenseVector, WireError> {
     match frame_kind(frame) {
         Some(KIND_SPARSE) => Ok(materialize_exact(&decode_sparse(frame)?)),
         _ => decode_dense(frame),
@@ -412,16 +437,16 @@ pub(crate) fn materialize_exact(s: &SparseVector) -> DenseVector {
 
 /// Peeks at a frame's kind byte without consuming anything. `None` if the
 /// frame is shorter than a header.
-pub fn frame_kind(frame: &Bytes) -> Option<u8> {
+pub fn frame_kind(frame: &[u8]) -> Option<u8> {
     if frame.len() < HEADER_LEN {
         return None;
     }
-    Some(frame.as_ref_slice()[4])
+    Some(frame[4])
 }
 
 /// Per-payload dense↔sparse switch for the real wire path
 /// ([`encode_adaptive`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrameSwitch {
     /// Always ship the dense frame (the legacy format; bit-compatible
     /// with every pre-compression decoder).
@@ -467,12 +492,25 @@ fn quant_step(lo: f64, hi: f64) -> f64 {
     (hi - lo) / QUANT_STEPS
 }
 
-/// [`quant_step`] with wire-side validation of an untrusted range.
+/// [`quant_step`] with wire-side validation of an untrusted range: both
+/// bounds finite, `lo ≤ hi`, and a finite step. A finite range wider
+/// than `f64::MAX` (e.g. `[-1e308, 1e308]`) has an infinite step, which
+/// would dequantize every level to NaN.
 fn checked_quant_step(lo: f64, hi: f64) -> Result<f64, WireError> {
-    if !lo.is_finite() || !hi.is_finite() || lo > hi {
+    let step = quant_step(lo, hi);
+    if !lo.is_finite() || !hi.is_finite() || lo > hi || !step.is_finite() {
         return Err(WireError::BadQuantRange { lo, hi });
     }
-    Ok(quant_step(lo, hi))
+    Ok(step)
+}
+
+/// Whether `values` can travel in a quantized frame: all finite, with a
+/// range narrow enough for a finite quantization step. Callers that
+/// choose a frame kind ([`crate::compress_update`]) gate on this and
+/// fall back to an exact frame otherwise.
+pub fn quantizable(values: &[f64]) -> bool {
+    let (lo, hi) = value_range(values);
+    values.iter().all(|x| x.is_finite()) && checked_quant_step(lo, hi).is_ok()
 }
 
 /// Nearest quantization level for `x` (deterministic `round`, saturating
@@ -549,19 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn sizes_match_the_cost_model() {
-        // The collectives' size model is the exact wire length.
-        for dim in [0usize, 1, 17, 4096] {
-            assert_eq!(encoded_dense_len(dim), crate::dense_bytes(dim));
-            assert_eq!(encoded_qdense_len(dim), crate::quantized_dense_bytes(dim));
-        }
-        for nnz in [0usize, 1, 23, 999] {
-            assert_eq!(encoded_sparse_len(nnz), crate::sparse_bytes(nnz));
-            assert_eq!(encoded_qsparse_len(nnz), crate::quantized_sparse_bytes(nnz));
-        }
-    }
-
-    #[test]
     fn adaptive_picks_the_cheaper_encoding() {
         // 2 nonzeros in 100 dims: sparse wins.
         let mut v = DenseVector::zeros(100);
@@ -588,7 +613,7 @@ mod tests {
         let mut v = DenseVector::zeros(50);
         v.set(7, 2.5);
         let forced = encode_adaptive(&v, FrameSwitch::Dense);
-        assert_eq!(forced.as_ref_slice(), encode_dense(&v).as_ref_slice());
+        assert_eq!(forced, encode_dense(&v));
     }
 
     #[test]
@@ -618,10 +643,10 @@ mod tests {
     fn rejects_bad_magic_and_kind() {
         let v = DenseVector::zeros(2);
         let frame = encode_dense(&v);
-        let mut corrupted = frame.to_vec();
+        let mut corrupted = frame.clone();
         corrupted[0] ^= 0xFF;
         assert!(matches!(
-            decode_dense(&Bytes::from(corrupted)),
+            decode_dense(&corrupted),
             Err(WireError::BadMagic(_))
         ));
         // Dense frame through the sparse decoder.
@@ -645,12 +670,12 @@ mod tests {
     fn rejects_truncated_frames() {
         let v = DenseVector::zeros(8);
         let frame = encode_dense(&v);
-        let short = frame.slice(..frame.len() - 4);
+        let short = &frame[..frame.len() - 4];
         assert!(matches!(
-            decode_dense(&short),
+            decode_dense(short),
             Err(WireError::Truncated { .. })
         ));
-        let tiny = Bytes::from_static(&[1, 2, 3]);
+        let tiny = [1u8, 2, 3];
         assert!(matches!(
             decode_dense(&tiny),
             Err(WireError::Truncated { .. })
@@ -660,9 +685,9 @@ mod tests {
     #[test]
     fn rejects_over_long_frames_as_trailing_bytes() {
         let v = DenseVector::zeros(4);
-        let mut padded = encode_dense(&v).to_vec();
+        let mut padded = encode_dense(&v);
         padded.push(0xAB);
-        let err = decode_dense(&Bytes::from(padded)).unwrap_err();
+        let err = decode_dense(&padded).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -675,10 +700,10 @@ mod tests {
         );
 
         let s = SparseVector::from_pairs(10, &[(1, 1.0)]).unwrap();
-        let mut padded = encode_sparse(&s).to_vec();
+        let mut padded = encode_sparse(&s);
         padded.extend_from_slice(&[0, 0, 0]);
         assert!(matches!(
-            decode_sparse(&Bytes::from(padded)),
+            decode_sparse(&padded),
             Err(WireError::TrailingBytes { .. })
         ));
     }
@@ -686,16 +711,16 @@ mod tests {
     #[test]
     fn rejects_nonzero_reserved_word() {
         let v = DenseVector::zeros(2);
-        let mut bytes = encode_dense(&v).to_vec();
+        let mut bytes = encode_dense(&v);
         bytes[12] = 1; // reserved u32 at offset 12
         assert!(matches!(
-            decode_dense(&Bytes::from(bytes)),
+            decode_dense(&bytes),
             Err(WireError::ReservedNonzero { offset: 12, .. })
         ));
-        let mut bytes = encode_dense(&v).to_vec();
+        let mut bytes = encode_dense(&v);
         bytes[6] = 9; // pad byte
         assert!(matches!(
-            decode_dense(&Bytes::from(bytes)),
+            decode_dense(&bytes),
             Err(WireError::ReservedNonzero { offset: 5, .. })
         ));
     }
@@ -703,12 +728,12 @@ mod tests {
     #[test]
     fn rejects_nnz_exceeding_dim_before_allocation() {
         let s = SparseVector::from_pairs(4, &[(0, 1.0), (3, 2.0)]).unwrap();
-        let mut bytes = encode_sparse(&s).to_vec();
+        let mut bytes = encode_sparse(&s);
         // Rewrite nnz (offset 12) to a huge count; the typed error must
         // surface before any length/alloc logic touches it.
         bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_sparse(&Bytes::from(bytes)),
+            decode_sparse(&bytes),
             Err(WireError::NnzExceedsDim { dim: 4, .. })
         ));
     }
@@ -716,20 +741,62 @@ mod tests {
     #[test]
     fn rejects_bad_quantization_range() {
         let v = DenseVector::from_vec(vec![1.0, 2.0]);
-        let mut bytes = encode_qdense(&v).to_vec();
+        let mut bytes = encode_qdense(&v);
         // lo (offset 16) := NaN.
         bytes[16..24].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         assert!(matches!(
-            decode_qdense(&Bytes::from(bytes)),
+            decode_qdense(&bytes),
             Err(WireError::BadQuantRange { .. })
         ));
         // lo > hi.
-        let mut bytes = encode_qdense(&v).to_vec();
+        let mut bytes = encode_qdense(&v);
         bytes[16..24].copy_from_slice(&5.0f64.to_bits().to_le_bytes());
         assert!(matches!(
-            decode_qdense(&Bytes::from(bytes)),
+            decode_qdense(&bytes),
             Err(WireError::BadQuantRange { lo, hi }) if lo > hi
         ));
+        // A finite range whose width overflows: `hi − lo = ∞`, so every
+        // level would dequantize to NaN.
+        let mut bytes = encode_qdense(&v);
+        bytes[16..24].copy_from_slice(&(-1e308f64).to_bits().to_le_bytes());
+        bytes[24..32].copy_from_slice(&1e308f64.to_bits().to_le_bytes());
+        assert!(matches!(
+            decode_qdense(&bytes),
+            Err(WireError::BadQuantRange { lo, hi }) if lo.is_finite() && hi.is_finite()
+        ));
+        let s = SparseVector::from_pairs(4, &[(0, 1.0), (3, 2.0)]).unwrap();
+        let mut bytes = encode_qsparse(&s);
+        bytes[16..24].copy_from_slice(&(-1e308f64).to_bits().to_le_bytes());
+        bytes[24..32].copy_from_slice(&1e308f64.to_bits().to_le_bytes());
+        assert!(matches!(
+            decode_qsparse(&bytes),
+            Err(WireError::BadQuantRange { .. })
+        ));
+    }
+
+    #[test]
+    fn quantizable_needs_finite_values_and_a_finite_step() {
+        assert!(quantizable(&[-3.0, 0.5, 7.0]));
+        assert!(quantizable(&[]));
+        assert!(quantizable(&[f64::MAX, f64::MAX]));
+        assert!(!quantizable(&[-1e308, 0.5, 1e308]));
+        assert!(!quantizable(&[1.0, f64::NAN]));
+        assert!(!quantizable(&[f64::NEG_INFINITY, 1.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite range")]
+    fn encoder_refuses_an_overflowing_range() {
+        let _ = encode_qdense(&DenseVector::from_vec(vec![-1e308, 0.5, 1e308]));
+    }
+
+    #[test]
+    fn reader_overrun_is_an_error_not_a_panic() {
+        // `check_len` guards every payload read, so reach the overrun
+        // through the header reader's own conversion.
+        let err = WireError::from(Reader::new(&[1, 2]).u32().unwrap_err());
+        assert!(matches!(err, WireError::Overrun(_)), "got {err:?}");
+        assert!(err.to_string().contains("overrun"));
     }
 
     #[test]
@@ -743,10 +810,7 @@ mod tests {
         bytes.swap(17, 21);
         bytes.swap(18, 22);
         bytes.swap(19, 23);
-        assert!(matches!(
-            decode_sparse(&Bytes::from(bytes)),
-            Err(WireError::Invalid(_))
-        ));
+        assert!(matches!(decode_sparse(&bytes), Err(WireError::Invalid(_))));
     }
 
     #[test]

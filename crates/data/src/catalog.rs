@@ -17,13 +17,11 @@
 //! (kdd12 and WX are scaled 2000× to keep full benchmark sweeps fast;
 //! their determined shape and relative model sizes are preserved.)
 
-use serde::{Deserialize, Serialize};
-
 use crate::SyntheticConfig;
 
 /// Original Table I statistics for a paper dataset, for side-by-side
 /// reporting in the Table I benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaperDatasetStats {
     /// Dataset name as it appears in the paper.
     pub name: &'static str,

@@ -18,9 +18,10 @@
 //!   rows, with cached per-column norms. This is the feature-major view the
 //!   coordinate-descent solver in `mlstar-glm` sweeps over.
 //!
-//! All types are deterministic, `serde`-serializable, and carry explicit
-//! invariants that are checked in debug builds and exercised by property
-//! tests.
+//! All types are deterministic and carry explicit invariants that are
+//! checked in debug builds and exercised by property tests. None of them
+//! defines a byte format: vectors go on the wire through
+//! `mlstar_collectives::wire`, and durable files through `mlstar-codec`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

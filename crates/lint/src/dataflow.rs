@@ -5,12 +5,12 @@
 //! Every hand-rolled binary format in the workspace (artifact "MLSA",
 //! checkpoint "MLSC", registry "MLSR", net protocol "MLSN", model frames
 //! "MLS*") is a pair of functions — a writer driving `codec::Writer::put_*`
-//! or `bytes::BufMut::put_*_le` and a reader driving `codec::Reader` or
-//! `bytes::Buf` primitives — that must agree field-for-field
-//! on order, width, loop structure, and branch structure. This module
-//! extracts both sides as effect sequences from the token stream the
-//! [`crate::parse`] scope tracker already produces, normalizes them, and
-//! diagnoses any divergence with a side-by-side sequence diff.
+//! and a reader driving `codec::Reader` primitives — that must agree
+//! field-for-field on order, width, loop structure, and branch
+//! structure. This module extracts both sides as effect sequences from
+//! the token stream the [`crate::parse`] scope tracker already produces,
+//! normalizes them, and diagnoses any divergence with a side-by-side
+//! sequence diff.
 //!
 //! The model (full precision discussion in DESIGN.md §16):
 //!
@@ -72,11 +72,7 @@ impl Prim {
     }
 }
 
-/// Writer-side primitive method names. The `_le` variants are the
-/// `bytes::BufMut` spellings used by the `collectives::wire` frames; they
-/// map to the same width alphabet as the `codec::Writer` names, so a
-/// `put_u32_le` write paired with a `u64()` read is still a width
-/// mismatch.
+/// Writer-side primitive method names (`codec::Writer`).
 const WRITER_PRIMS: &[(&str, Prim)] = &[
     ("put_u8", Prim::U8),
     ("put_u16", Prim::U16),
@@ -86,14 +82,10 @@ const WRITER_PRIMS: &[(&str, Prim)] = &[
     ("put_str16", Prim::Str16),
     ("put_blob64", Prim::Blob64),
     ("put_bytes", Prim::Bytes),
-    ("put_u32_le", Prim::U32),
-    ("put_u64_le", Prim::U64),
-    ("put_f64_le", Prim::F64),
 ];
 
-/// Reader-side primitive method names (method position required — `u8`
-/// etc. are too short to trust as free identifiers, and the `bytes::Buf`
-/// getters would otherwise collide with the `get_X` helper namespace).
+/// Reader-side primitive method names (`codec::Reader`; method position
+/// required — `u8` etc. are too short to trust as free identifiers).
 const READER_PRIMS: &[(&str, Prim)] = &[
     ("u8", Prim::U8),
     ("u16", Prim::U16),
@@ -103,10 +95,6 @@ const READER_PRIMS: &[(&str, Prim)] = &[
     ("str16", Prim::Str16),
     ("blob64", Prim::Blob64),
     ("bytes", Prim::Bytes),
-    ("get_u8", Prim::U8),
-    ("get_u32_le", Prim::U32),
-    ("get_u64_le", Prim::U64),
-    ("get_f64_le", Prim::F64),
 ];
 
 /// Frame-envelope operations: symmetric by construction (magic, version,

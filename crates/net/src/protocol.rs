@@ -27,7 +27,6 @@
 //! orchestrator → worker   Shutdown
 //! ```
 
-use bytes::Bytes;
 use mlstar_codec::{decode_frame, CodecError, Reader, Writer};
 use mlstar_collectives::{wire, FrameSwitch};
 use mlstar_core::{OpResult, WorkerOp};
@@ -123,8 +122,7 @@ fn put_model(w: &mut Writer, v: &DenseVector, switch: FrameSwitch) {
 
 fn get_model(r: &mut Reader<'_>) -> Result<DenseVector, NetError> {
     let raw = r.blob64()?;
-    wire::decode_adaptive(&Bytes::from(raw.to_vec()))
-        .map_err(|e| NetError::Protocol(format!("model payload: {e}")))
+    wire::decode_adaptive(raw).map_err(|e| NetError::Protocol(format!("model payload: {e}")))
 }
 
 fn put_switch(w: &mut Writer, switch: FrameSwitch) {
@@ -450,7 +448,7 @@ pub fn decode_msg(frame: &[u8]) -> Result<Msg, NetError> {
                 let global = r.u32()?;
                 let label = r.f64()?;
                 let raw = r.blob64()?;
-                let row = wire::decode_sparse(&Bytes::from(raw.to_vec()))
+                let row = wire::decode_sparse(raw)
                     .map_err(|e| NetError::Protocol(format!("sparse payload: {e}")))?;
                 rows.push(AssignedRow { global, label, row });
             }

@@ -11,7 +11,6 @@
 //! documented exemption: a sub-step range perturbation may dequantize to
 //! the same values, which corrupts nothing).
 
-use bytes::Bytes;
 use mllib_star::collectives::wire::{self, FrameSwitch, WireError};
 use mllib_star::collectives::{
     dense_bytes, partition_bytes, quantized_dense_bytes, quantized_sparse_bytes, sparse_bytes,
@@ -78,10 +77,10 @@ fn sparse_fingerprint(v: &SparseVector) -> (usize, Vec<u32>, Vec<u64>) {
     )
 }
 
-fn flip(frame: &Bytes, pos: usize, bit: u32) -> Bytes {
+fn flip(frame: &[u8], pos: usize, bit: u32) -> Vec<u8> {
     let mut raw = frame.to_vec();
     raw[pos] ^= 1 << bit;
-    Bytes::from(raw)
+    raw
 }
 
 proptest! {
@@ -153,8 +152,8 @@ proptest! {
         let d = dense_from_seed(seed, dim);
         let nnz = 2 + (seed as usize % (dim - 1));
         let s = sparse_from_seed(seed, dim, nnz);
-        type Rejects = fn(&Bytes) -> bool;
-        let frames: [(Bytes, Rejects); 4] = [
+        type Rejects = fn(&[u8]) -> bool;
+        let frames: [(Vec<u8>, Rejects); 4] = [
             (wire::encode_dense(&d), |f| wire::decode_dense(f).is_err()),
             (wire::encode_sparse(&s), |f| wire::decode_sparse(f).is_err()),
             (wire::encode_qdense(&d), |f| wire::decode_qdense(f).is_err()),
@@ -163,7 +162,7 @@ proptest! {
         for (frame, rejects) in frames {
             for cut in 0..frame.len() {
                 prop_assert!(
-                    rejects(&frame.slice(..cut)),
+                    rejects(&frame[..cut]),
                     "truncation at {cut}/{} decoded", frame.len()
                 );
             }
@@ -177,10 +176,10 @@ proptest! {
         let d = dense_from_seed(seed, dim);
         let nnz = 2 + (seed as usize % (dim - 1));
         let s = sparse_from_seed(seed, dim, nnz);
-        let overlong = |frame: &Bytes| {
+        let overlong = |frame: &[u8]| {
             let mut raw = frame.to_vec();
             raw.push(0xAB);
-            Bytes::from(raw)
+            raw
         };
         let is_trailing = |e: &WireError| matches!(e, WireError::TrailingBytes { .. });
         let dense_refused = wire::decode_dense(&overlong(&wire::encode_dense(&d)))
